@@ -14,6 +14,7 @@ from .errors import (
     IntegrationFaultError,
     InvalidTupleError,
     MassMismatchError,
+    NonFiniteValueError,
     NonStochasticRowError,
     UnsupportedOrderError,
 )
@@ -101,6 +102,7 @@ from .trajectory import (
 )
 from .velocity import (
     MonteCarloVelocity,
+    VelocityPlan,
     VelocityPoly,
     eval_poly,
     velocity,

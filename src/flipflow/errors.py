@@ -28,6 +28,10 @@ class NonStochasticRowError(FlipflowError, ValueError):
         super().__init__(msg)
 
 
+class NonFiniteValueError(FlipflowError, ValueError):
+    """A part mass or step-function value is NaN or infinite."""
+
+
 class MassMismatchError(FlipflowError, ValueError):
     """Two step functions do not share the same part masses."""
 

@@ -15,6 +15,7 @@ over drawn-edge-count classes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -99,7 +100,7 @@ def validate(rule: Rule) -> None:
             if h in seen:
                 raise NonStochasticRowError(f, 0.0, f"duplicate H index {h}")
             seen.add(h)
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
+            if not -PROB_TOL <= p <= 1 + PROB_TOL:  # also rejects NaN
                 raise NonStochasticRowError(f, 0.0, f"probability {p} outside [0, 1]")
         residual = abs(sum(p for _, p in row) - 1.0)
         if residual > worst_residual:
@@ -125,15 +126,19 @@ def pair_coefficients(rule: Rule) -> np.ndarray:
     if rule._pair_coeffs is not None:
         return rule._pair_coeffs
     npairs = comb(rule.k, 2)
-    coeff = np.zeros((rule.num_graphs, npairs))
-    for f, row in enumerate(rule.rows):
-        for h, p in row:
-            if p == 0.0 or h == f:
-                continue
-            diff = f ^ h
-            for pos in range(npairs):
-                if diff >> pos & 1:
-                    coeff[f, pos] += p if (h >> pos & 1) else -p
+    lengths = [len(row) for row in rule.rows]
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(rule.rows)), dtype=float, count=2 * sum(lengths)
+    ).reshape(-1, 2)
+    f = np.repeat(np.arange(rule.num_graphs, dtype=np.int64), lengths)
+    h = flat[:, 0].astype(np.int64)
+    p = flat[:, 1]
+    # entries add in row order, as a loop over the rows would; p * 0 adds
+    # an exact zero where the pair is unchanged
+    coeff = np.column_stack([
+        np.bincount(f, weights=p * ((h >> pos & 1) - (f >> pos & 1)), minlength=rule.num_graphs)
+        for pos in range(npairs)
+    ])
     coeff.flags.writeable = False
     rule._pair_coeffs = coeff
     return coeff

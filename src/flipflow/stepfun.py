@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import GuardExceededError, MassMismatchError
+from .errors import GuardExceededError, MassMismatchError, NonFiniteValueError
 from .graphs import LabeledGraph, pair_list
 
 MASS_TOL = 1e-12
@@ -26,9 +26,11 @@ CUT_EXACT_GUARD = 14  # maximum part count for exact cut norm
 CUT_PERM_GUARD = 8  # maximum part count for permutation cut distance
 
 
-def _check_masses(masses: np.ndarray) -> None:
+def check_masses(masses: np.ndarray) -> None:
     if masses.ndim != 1 or len(masses) == 0:
         raise ValueError("masses must be a non-empty 1-d sequence")
+    if not np.isfinite(masses).all():
+        raise NonFiniteValueError(f"part masses must be finite, got {masses!r}")
     if (masses <= 0).any():
         raise ValueError("all part masses must be positive")
     if abs(masses.sum() - 1.0) > MASS_TOL:
@@ -41,12 +43,14 @@ class StepKernel:
     def __init__(self, masses, values):
         masses = np.asarray(masses, dtype=float).copy()
         values = np.asarray(values, dtype=float).copy()
-        _check_masses(masses)
+        check_masses(masses)
         if values.shape != (len(masses), len(masses)):
             raise ValueError(
                 f"values must be {len(masses)}x{len(masses)}, got {values.shape}"
             )
-        if not np.allclose(values, values.T, rtol=0.0, atol=MASS_TOL):
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError("step function values must be finite")
+        if not (np.abs(values - values.T) <= MASS_TOL).all():
             raise ValueError("value matrix must be symmetric")
         masses.flags.writeable = False
         values.flags.writeable = False

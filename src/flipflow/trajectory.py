@@ -18,30 +18,24 @@ import numpy as np
 from .errors import IntegrationFaultError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
-from .stepfun import StepGraphon, StepKernel, cut_norm_exact, kernel_sub, linf_dist
-from .velocity import velocity, velocity_poly, eval_poly
+from .stepfun import StepGraphon, cut_norm_exact, kernel_sub, linf_dist
+from .velocity import VelocityPlan, eval_poly, velocity, velocity_poly
 
 DEFAULT_OPTS = IntegratorOptions()
+RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
 
 
-def _pack(w: StepKernel) -> np.ndarray:
-    iu = np.triu_indices(w.m)
-    return w.values[iu]
+def _field(plan: VelocityPlan):
+    """The right-hand side y -> velocity on packed states of one flow."""
 
-
-def _unpack(masses: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = len(masses)
-    out = np.zeros((m, m))
-    iu = np.triu_indices(m)
-    out[iu] = y
-    out.T[iu] = y
-    return out
-
-
-def _field(rule: Rule, masses: np.ndarray):
     def f(y: np.ndarray) -> np.ndarray:
-        w = StepGraphon(masses, _unpack(masses, y), band=0.5)
-        return _pack(velocity(rule, w))
+        lo, hi = float(y.min()), float(y.max())
+        if not (lo >= -RHS_BAND and hi <= 1.0 + RHS_BAND):  # also rejects NaN
+            raise IntegrationFaultError(
+                f"velocity evaluated at a state outside [{-RHS_BAND}, {1 + RHS_BAND}]: "
+                f"range [{lo}, {hi}]"
+            )
+        return plan(y)
 
     return f
 
@@ -93,9 +87,10 @@ def flow_at(
         return w0
     stats = StepStats()
     observer = _band_observer(opts.band_tol, stats) if t > 0 else None
-    leg = integrate_span(_field(rule, w0.masses), _pack(w0), 0.0, t, opts, observer)
-    band = opts.band_tol if t > 0 else 0.5
-    return StepGraphon(w0.masses, _unpack(w0.masses, leg.y), band=band)
+    plan = VelocityPlan(rule, w0.masses)
+    leg = integrate_span(_field(plan), plan.pack(w0.values), 0.0, t, opts, observer)
+    band = opts.band_tol if t > 0 else RHS_BAND
+    return StepGraphon(w0.masses, plan.unpack(leg.y), band=band)
 
 
 def integrate(
@@ -115,18 +110,17 @@ def integrate(
         raise ValueError("checkpoint times must lie in [0, t_end]")
     stats = StepStats()
     observer = _band_observer(opts.band_tol, stats)
-    f = _field(rule, w0.masses)
+    plan = VelocityPlan(rule, w0.masses)
+    f = _field(plan)
     checkpoints = []
-    y = _pack(w0)
+    y = plan.pack(w0.values)
     t = 0.0
     for tc in times:
         if tc > t:
             leg = integrate_span(f, y, t, tc, opts, observer)
             stats.merge(leg.stats)
             y, t = leg.y, tc
-        checkpoints.append(
-            (tc, StepGraphon(w0.masses, _unpack(w0.masses, y), band=opts.band_tol))
-        )
+        checkpoints.append((tc, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)))
     if t_end > t:
         leg = integrate_span(f, y, t, t_end, opts, observer)
         stats.merge(leg.stats)
@@ -174,8 +168,9 @@ def backward_age(
     is 0 with origin `w0` itself.  Fixed points and other flows that
     survive past `max_age` report "exceeded".
     """
-    y0 = _pack(w0)
-    vel0 = _pack(velocity(rule, w0))
+    plan = VelocityPlan(rule, w0.masses)
+    y0 = plan.pack(w0.values)
+    vel0 = plan.pack(velocity(rule, w0).values)
     touching_low = y0 <= opts.band_tol
     touching_high = y0 >= 1.0 - opts.band_tol
     # backward motion is -velocity: a 0-entry with positive velocity (or a
@@ -183,7 +178,7 @@ def backward_age(
     if np.any(touching_low & (vel0 > 0)) or np.any(touching_high & (vel0 < 0)):
         return AgeResult(False, 0.0, w0, max_age)
 
-    f = _field(rule, w0.masses)
+    f = _field(plan)
     crossing: dict = {}
 
     def inside(y: np.ndarray) -> bool:
@@ -208,7 +203,7 @@ def backward_age(
             t_in, y_in = t_mid, leg.y
         else:
             t_out = t_mid
-    origin = StepGraphon(w0.masses, _unpack(w0.masses, y_in), band=opts.band_tol)
+    origin = StepGraphon(w0.masses, plan.unpack(y_in), band=opts.band_tol)
     return AgeResult(False, abs(t_in), origin, max_age)
 
 
@@ -242,10 +237,11 @@ def find_destination(
     """
     if eps_vel <= 0 or eps_move <= 0 or t_max <= 0:
         raise ValueError("tolerances and t_max must be positive")
-    f = _field(rule, w0.masses)
+    plan = VelocityPlan(rule, w0.masses)
+    f = _field(plan)
     stats = StepStats()
     observer = _band_observer(opts.band_tol, stats)
-    y = _pack(w0)
+    y = plan.pack(w0.values)
     t = 0.0
     while t < t_max:
         t_next = min(t + 1.0, t_max)
@@ -254,9 +250,9 @@ def find_destination(
         y, t = leg.y, t_next
         residual = float(np.max(np.abs(f(y))))
         if residual < eps_vel and movement < eps_move:
-            w = StepGraphon(w0.masses, _unpack(w0.masses, y), band=opts.band_tol)
+            w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
             return DestinationResult(True, w, residual, movement, t)
-    w = StepGraphon(w0.masses, _unpack(w0.masses, y), band=opts.band_tol)
+    w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
     return DestinationResult(False, w, float(np.max(np.abs(f(y)))), movement, t)
 
 

@@ -8,6 +8,27 @@ the Monte Carlo estimator samples), each root pair contributes the
 probability that the replacement keeps/creates the root edge minus the
 current value W(i, j).
 
+Evaluation enumerates multisets, not assignments.  Relabeling the k
+pattern vertices by a permutation maps an assignment of parts, its
+drawn pattern and its root pair to another assignment with the same
+weight, so the sum over all m**k assignments regroups into a sum over
+the C(m+k-1, k) sorted assignments s_0 <= ... <= s_{k-1}, each counted
+with its multinomial multiplicity k!/prod(c_i!), once the pair
+coefficients are averaged over the relabelings:
+
+    Cbar[F, ab] = (1/k!) sum over sigma in S_k of c[sigma F, sigma(a) sigma(b)].
+
+For a sorted assignment and a pair a < b the block (s_a, s_b) lies in
+the upper triangle, and both orientations of the pair land on it when
+s_a = s_b, so a diagonal block takes the pair twice.  The multisets,
+their multiplicities and their blocks depend only on (k, m) and are
+cached; the averaged table is cached on the rule.  A `VelocityPlan`
+fixes the part masses as well, folding multiplicity, mass product and
+the 1/(m_i m_j) normalization into one weight per (multiset, pair), so
+that along a flow, where the masses never change, each evaluation is a
+gather of the packed upper-triangle values, a pattern-weighted sum and
+one bincount back into packed blocks.
+
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
 edge-change sequence; that polynomial is an independent code path used
@@ -17,14 +38,15 @@ to cross-check the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
 from .errors import GuardExceededError
 from .graphs import pair_list, pair_position
 from .rules import Rule, deltas, pair_coefficients
-from .stepfun import StepGraphon, StepKernel
+from .stepfun import StepGraphon, StepKernel, check_masses
 from .streams import substream
 
 VELOCITY_GUARD = 10**9  # per-cell bound on m**(k-2) * |H_k| * k**2
@@ -33,22 +55,6 @@ _CHUNK_ELEMS = 1 << 23  # cap on rows * 2**npairs per vectorized chunk
 
 def _ordered_pairs(k: int):
     return [(a, b) for a in range(k) for b in range(k) if a != b]
-
-
-def _ordered_coeff_matrix(rule: Rule) -> np.ndarray:
-    """Pair coefficients replicated over ordered root pairs: (|H_k|, (k)_2)."""
-    cached = getattr(rule, "_ordered_coeffs", None)
-    if cached is not None:
-        return cached
-    unordered = pair_coefficients(rule)
-    cols = [
-        unordered[:, pair_position(rule.k, a, b)]
-        for a, b in _ordered_pairs(rule.k)
-    ]
-    out = np.column_stack(cols)
-    out.flags.writeable = False
-    rule._ordered_coeffs = out
-    return out
 
 
 def _check_velocity_guard(rule: Rule, m: int) -> None:
@@ -61,71 +67,172 @@ def _check_velocity_guard(rule: Rule, m: int) -> None:
         )
 
 
-def _pattern_weighted_coeffs(edge_probs: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_F P(F | assignment) * coeff[F] for a chunk of assignments.
+@dataclass(frozen=True)
+class _PatternTable:
+    """The averaged coefficient rows a pattern sum needs, and how to sum.
 
-    edge_probs has shape (rows, npairs); coeff has shape (2**npairs, T).
-    Graphs F with all-zero coefficient rows cost nothing: when the
-    nonzero support is small the sum runs over it directly, otherwise the
-    full distribution over patterns is built by a doubling cascade.
+    Graphs with an all-zero row cost nothing: when the nonzero support is
+    small the sum runs over it directly (`bits` holds the support's edge
+    indicators), otherwise (`bits` is None) over the full distribution of
+    patterns, built by a doubling cascade, and `table` keeps every row.
     """
-    rows, npairs = edge_probs.shape
-    ngraphs = coeff.shape[0]
-    nonzero = np.flatnonzero(np.any(coeff != 0.0, axis=1))
-    direct_cost = len(nonzero) * (npairs + coeff.shape[1])
-    cascade_cost = ngraphs * (2 + coeff.shape[1])
-    if direct_cost <= cascade_cost:
-        out = np.zeros((rows, coeff.shape[1]))
-        for f in nonzero:
-            prob = np.ones(rows)
-            for p in range(npairs):
-                col = edge_probs[:, p]
-                prob = prob * (col if f >> p & 1 else 1.0 - col)
-            out += prob[:, None] * coeff[f]
+
+    table: np.ndarray
+    bits: np.ndarray | None
+    row_elems: int  # array elements per multiset while summing
+
+
+def _pattern_table(rule: Rule) -> _PatternTable:
+    """Pair coefficients averaged over vertex relabelings, cached on the rule.
+
+    Every permutation of {0..k-1} is uniquely a product r_1 r_2 ... r_{k-1}
+    with r_j a transposition (i j), i < j, or the identity, so the average
+    over S_k is the composition of k - 1 averages over those choices:
+    C(k, 2) relabelings of the table instead of k!.
+    """
+    cached = getattr(rule, "_pattern_table", None)
+    if cached is not None:
+        return cached
+    k = rule.k
+    pairs = pair_list(k)
+    table = np.array(pair_coefficients(rule))
+    ngraphs, npairs = table.shape
+    bits = (np.arange(ngraphs)[:, None] >> np.arange(npairs)) & 1
+    for j in range(1, k):
+        total = table.copy()
+        for i in range(j):
+            perm = list(range(k))
+            perm[i], perm[j] = j, i
+            # relabeled[F, p] = table[perm F, perm p]
+            target = np.array([pair_position(k, perm[a], perm[b]) for a, b in pairs])
+            total += table[np.ix_(bits @ (1 << target), target)]
+        table = total / (j + 1)
+
+    support = np.flatnonzero(np.any(table != 0.0, axis=1))
+    if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
+        bits = ((support[:, None] >> np.arange(npairs)) & 1).astype(bool)
+        out = _PatternTable(table[support], bits, max(len(support) * npairs, 1))
+    else:
+        out = _PatternTable(table, None, ngraphs)
+    for arr in (out.table, out.bits):
+        if arr is not None:
+            arr.flags.writeable = False
+    rule._pattern_table = out
+    return out
+
+
+@dataclass(frozen=True)
+class _Multisets:
+    """Sorted part assignments of k vertices to m parts, and their blocks.
+
+    `parts[r]` is the r-th multiset in lexicographic order; for pair
+    position p = (u, v), `cells[r, p]` is the packed upper-triangle index
+    of block (parts[r, u], parts[r, v]) and `factor[r, p]` the number of
+    ordered assignments and root orientations it stands for.
+    """
+
+    parts: np.ndarray  # (R, k)
+    first: np.ndarray  # (R, C(k,2)): parts[r, u] for pair position p = (u, v)
+    second: np.ndarray  # (R, C(k,2)): parts[r, v]
+    cells: np.ndarray  # (R, C(k,2))
+    factor: np.ndarray  # (R, C(k,2))
+    upper: tuple  # np.triu_indices(m), the packing order
+
+
+@lru_cache(maxsize=32)
+def _multisets(k: int, m: int) -> _Multisets:
+    parts = np.arange(m, dtype=np.intp)[:, None]
+    for _ in range(k - 1):
+        last = parts[:, -1]
+        counts = m - last
+        starts = np.cumsum(counts) - counts
+        step = np.arange(counts.sum(), dtype=np.intp) - np.repeat(starts, counts)
+        parts = np.column_stack((np.repeat(parts, counts, axis=0), np.repeat(last, counts) + step))
+    # prod(c_i!) as the product of each entry's rank within its run
+    run = np.ones(len(parts), dtype=np.int64)
+    denom = np.ones(len(parts), dtype=np.int64)
+    for col in range(1, k):
+        run = np.where(parts[:, col] == parts[:, col - 1], run + 1, 1)
+        denom *= run
+    multiplicity = factorial(k) / denom
+    us, vs = np.array(pair_list(k)).T
+    i, j = parts[:, us], parts[:, vs]
+    cells = i * m - i * (i - 1) // 2 + (j - i)
+    factor = multiplicity[:, None] * np.where(i == j, 2.0, 1.0)
+    upper = np.triu_indices(m)
+    for arr in (parts, i, j, cells, factor, *upper):
+        arr.flags.writeable = False
+    return _Multisets(parts, i, j, cells, factor, upper)
+
+
+class VelocityPlan:
+    """The velocity of one rule at step graphons on fixed part masses.
+
+    Built once per (rule, masses) and called on packed upper-triangle
+    values (the order of `pack`); returns the velocity in the same
+    packing.  The guard and the mass check run at construction, so a
+    flow pays for them once.  Values are not checked: callers that take
+    states from outside (the integrator) check their band themselves.
+    """
+
+    def __init__(self, rule: Rule, masses):
+        masses = np.asarray(masses, dtype=float)
+        check_masses(masses)
+        k, m = rule.k, len(masses)
+        _check_velocity_guard(rule, m)
+        enum = _multisets(k, m)
+        patterns = _pattern_table(rule)
+        self.m = m
+        self._upper = enum.upper
+        self._ncells = m * (m + 1) // 2
+        self._cells = enum.cells
+        weight = np.prod(masses[enum.parts], axis=1)
+        self._weights = enum.factor * weight[:, None] / (masses[enum.first] * masses[enum.second])
+        self._table = patterns.table
+        self._bits = patterns.bits
+        self._pattern_sum = self._cascade if patterns.bits is None else self._support_sum
+        chunk = max(1, _CHUNK_ELEMS // patterns.row_elems)
+        total = len(self._cells)
+        self._chunks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+
+    def pack(self, values: np.ndarray) -> np.ndarray:
+        """Upper-triangle entries of a symmetric (m, m) matrix, row by row."""
+        return values[self._upper]
+
+    def unpack(self, y: np.ndarray) -> np.ndarray:
+        """The symmetric (m, m) matrix with packed upper triangle y."""
+        out = np.zeros((self.m, self.m))
+        out[self._upper] = y
+        out.T[self._upper] = y
         return out
-    dist = np.ones((rows, 1))
-    for p in range(npairs):
-        col = edge_probs[:, p : p + 1]
-        dist = np.concatenate((dist * (1.0 - col), dist * col), axis=1)
-    return dist @ coeff
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self._ncells)
+        for lo, hi in self._chunks:
+            cells = self._cells[lo:hi]
+            scores = self._pattern_sum(y[cells]) * self._weights[lo:hi]
+            out += np.bincount(cells.ravel(), weights=scores.ravel(), minlength=self._ncells)
+        return out
+
+    def _support_sum(self, edge_probs: np.ndarray) -> np.ndarray:
+        """sum over the support F of P(F | multiset) * Cbar[F]."""
+        probs = edge_probs[:, None, :]
+        patterns = np.where(self._bits, probs, 1.0 - probs).prod(axis=2)
+        return patterns @ self._table
+
+    def _cascade(self, edge_probs: np.ndarray) -> np.ndarray:
+        """The full pattern distribution per multiset, times Cbar."""
+        dist = np.ones((len(edge_probs), 1))
+        for p in range(edge_probs.shape[1]):
+            col = edge_probs[:, p : p + 1]
+            dist = np.concatenate((dist * (1.0 - col), dist * col), axis=1)
+        return dist @ self._table
 
 
 def velocity(rule: Rule, w: StepGraphon) -> StepKernel:
-    """Exact velocity kernel of `rule` at the step graphon `w`.
-
-    Enumerates all part assignments of the k pattern vertices once,
-    accumulating every ordered root pair into its block; the result is
-    computed per unordered cell and mirrored.
-    """
-    k, m = rule.k, w.m
-    _check_velocity_guard(rule, m)
-    coeff = _ordered_coeff_matrix(rule)
-    pairs = pair_list(k)
-    opairs = _ordered_pairs(k)
-    d = w.values
-    masses = w.masses
-
-    numer = np.zeros((m, m))
-    total = m**k
-    powers = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMS // rule.num_graphs)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        assign = (idx[:, None] // powers) % m
-        weight = np.prod(masses[assign], axis=1)
-        edge_probs = np.empty((len(idx), len(pairs)))
-        for p, (u, v) in enumerate(pairs):
-            edge_probs[:, p] = d[assign[:, u], assign[:, v]]
-        scores = _pattern_weighted_coeffs(edge_probs, coeff)
-        for t, (a, b) in enumerate(opairs):
-            cell = assign[:, a] * m + assign[:, b]
-            numer += np.bincount(
-                cell, weights=weight * scores[:, t], minlength=m * m
-            ).reshape(m, m)
-    values = numer / np.outer(masses, masses)
-    # mirror the upper triangle; the two orientations are analytically equal
-    out = np.triu(values) + np.triu(values, 1).T
-    return StepKernel(masses, out)
+    """Exact velocity kernel of `rule` at the step graphon `w`."""
+    plan = VelocityPlan(rule, w.masses)
+    return StepKernel(w.masses, plan.unpack(plan(plan.pack(w.values))))
 
 
 @dataclass

@@ -2,16 +2,19 @@
 
 The oracles here are deliberately independent of the library code paths
 they check: densities enumerate assignments with itertools, cut norms
-enumerate every subset pair, and rooted densities multiply factors in
-plain Python loops.
+enumerate every subset pair, rooted densities multiply factors in plain
+Python loops, pair coefficients walk every rule entry, and the velocity
+sums its definition term by term.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
-from flipflow import LabeledGraph, StepGraphon, StepKernel, pair_list
+from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, pair_list
+from flipflow.graphs import pair_position
 
 
 def random_graphon(rng: np.random.Generator, m: int) -> StepGraphon:
@@ -83,6 +86,61 @@ def brute_rooted(pattern, roots, parts, w, induced=True) -> float:
                 prob *= 1.0 - val
         total += weight * prob
     return total
+
+
+def random_rule(rng: np.random.Generator, k: int, active: float = 1.0) -> Rule:
+    """Row-stochastic rule; a share `active` of rows move, the rest idle.
+
+    A moving row puts Dirichlet weights on one to three random graphs.
+    """
+    ngraphs = 1 << comb(k, 2)
+    rows = []
+    for f in range(ngraphs):
+        if rng.random() >= active:
+            rows.append([(f, 1.0)])
+            continue
+        targets = rng.choice(ngraphs, size=int(rng.integers(1, 4)), replace=False)
+        probs = rng.dirichlet(np.ones(len(targets)))
+        rows.append(list(zip(targets.tolist(), probs.tolist())))
+    return Rule(k, rows)
+
+
+def brute_pair_coefficients(rule) -> np.ndarray:
+    """Signed pair coefficients by a loop over every (F, H, p) rule entry."""
+    npairs = comb(rule.k, 2)
+    coeff = np.zeros((rule.num_graphs, npairs))
+    for f, row in enumerate(rule.rows):
+        for h, p in row:
+            if p == 0.0 or h == f:
+                continue
+            diff = f ^ h
+            for pos in range(npairs):
+                if diff >> pos & 1:
+                    coeff[f, pos] += p if (h >> pos & 1) else -p
+    return coeff
+
+
+def brute_velocity(rule, w: StepKernel) -> np.ndarray:
+    """Velocity by its definition: over ordered root pairs (a, b) and
+    patterns F, the pair coefficient times the rooted induced density of
+    F with a, b pinned to the block's parts.  Every block is summed on
+    its own, so symmetry is checked, not assumed.
+    """
+    k, m = rule.k, w.m
+    coeff = brute_pair_coefficients(rule)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            for a in range(k):
+                for b in range(k):
+                    if a == b:
+                        continue
+                    pos = pair_position(k, a, b)
+                    for f in range(rule.num_graphs):
+                        if coeff[f, pos] != 0.0:
+                            pattern = LabeledGraph(k, f)
+                            out[i, j] += coeff[f, pos] * brute_rooted(pattern, (a, b), (i, j), w)
+    return out
 
 
 def brute_cut_norm(kern: StepKernel) -> float:

@@ -30,6 +30,8 @@ from flipflow import (
 )
 from flipflow.graphs import pair_position
 
+from conftest import brute_pair_coefficients, random_rule
+
 
 def identity_rule(k):
     return Rule(k, [[(f, 1.0)] for f in range(1 << comb(k, 2))])
@@ -43,6 +45,13 @@ def test_validate():
         validate(bad)
     assert err.value.row == 0
     assert abs(err.value.residual - 0.001) < 1e-15
+
+
+def test_validate_rejects_nan_probability():
+    with pytest.raises(NonStochasticRowError) as err:
+        validate(Rule(2, [[(0, float("nan"))], [(1, 1.0)]]))
+    assert err.value.row == 0
+    assert isinstance(err.value, ValueError)
 
 
 def test_erdos_renyi_rule():
@@ -160,6 +169,14 @@ def test_pair_coefficient_signs_and_trivial():
                     assert c <= 1e-12, (name, f, p)
                 else:
                     assert c >= -1e-12, (name, f, p)
+
+
+def test_pair_coefficients_equal_the_entry_loop(rng):
+    rules = [builder() for builder in BUILTIN_RULES.values()]
+    rules += [stirring_rule(4, "loose"), stirring_rule(4, "firm"), complementing_rule(5)]
+    rules += [random_rule(rng, k) for k in (2, 3, 4)] + [random_rule(rng, 5, active=0.1)]
+    for rule in rules:
+        assert np.array_equal(pair_coefficients(rule), brute_pair_coefficients(rule)), rule
 
 
 def test_triangle_removal_coefficients_all_ordered_pairs():

@@ -8,6 +8,7 @@ from flipflow import (
     GuardExceededError,
     LabeledGraph,
     MassMismatchError,
+    NonFiniteValueError,
     SimGraph,
     StepGraphon,
     StepKernel,
@@ -56,6 +57,17 @@ def test_constructors():
         two_block((0.5, 0.5), -0.2, 0.5, 0.5)
     with pytest.raises(ValueError):
         StepGraphon([0.5, 0.6], np.zeros((2, 2)))  # masses exceed 1
+
+
+def test_nan_mass_is_rejected():
+    with pytest.raises(NonFiniteValueError):
+        StepGraphon([np.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_infinite_kernel_value_is_rejected():
+    with pytest.raises(NonFiniteValueError) as err:
+        StepKernel([1.0], [[np.inf]])
+    assert isinstance(err.value, ValueError)
 
 
 def test_density_closed_forms():

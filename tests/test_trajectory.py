@@ -5,8 +5,10 @@ import pytest
 
 from flipflow import (
     BUILTIN_RULES,
+    IntegrationFaultError,
     IntegratorOptions,
     StepGraphon,
+    VelocityPlan,
     backward_age,
     complementing_rule,
     constant,
@@ -29,7 +31,7 @@ from flipflow import (
     two_block,
     velocity,
 )
-from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN
+from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN, _field
 
 from conftest import random_graphon
 
@@ -86,6 +88,14 @@ def test_band_is_asserted_not_clamped():
         IntegratorOptions(rtol=-1.0)
     with pytest.raises(ValueError):
         IntegratorOptions(method="rk4_fixed")  # missing step
+
+
+def test_rhs_rejects_states_outside_the_band_and_nan():
+    f = _field(VelocityPlan(EXT3, [0.4, 0.6]))
+    assert np.all(np.isfinite(f(np.array([0.2, 0.5, 0.9]))))
+    for bad in ([0.2, np.nan, 0.9], [0.2, 1.6, 0.9], [-0.6, 0.5, 0.9]):
+        with pytest.raises(IntegrationFaultError):
+            f(np.array(bad))
 
 
 def test_semigroup():

@@ -7,6 +7,7 @@ from flipflow import (
     GuardExceededError,
     Rule,
     StepGraphon,
+    VelocityPlan,
     complementing_rule,
     component_completion_rule,
     constant,
@@ -15,6 +16,7 @@ from flipflow import (
     erdos_renyi_rule,
     eval_poly,
     extremist_rule,
+    integrate,
     kernel_sub,
     linf_dist,
     linf_lipschitz_constant,
@@ -28,8 +30,10 @@ from flipflow import (
 )
 from flipflow import BUILTIN_RULES, LabeledGraph
 from flipflow.rules import deltas
+from flipflow.trajectory import _field
+from flipflow.velocity import VELOCITY_GUARD
 
-from conftest import random_graphon, random_graphon_pair
+from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule
 
 
 def identity_rule(k):
@@ -165,9 +169,21 @@ def test_zero_block_stays_zero_for_non_bridging_rules():
 
 
 def test_velocity_guard():
-    big = StepGraphon(np.full(60, 1 / 60), np.full((60, 60), 0.5))
-    with pytest.raises(GuardExceededError):
-        velocity(extremist_rule(5), big)
+    def flat(m):
+        return StepGraphon(np.full(m, 1 / m), np.full((m, m), 0.5))
+
+    # the cost per cell is m**(k-2) * |H_k| * k**2: extremist:5 first
+    # exceeds the guard at 34 parts, order 6 at 6 parts
+    ext5, idle6 = extremist_rule(5), identity_rule(6)
+    assert 33**3 * 2**10 * 25 <= VELOCITY_GUARD < 34**3 * 2**10 * 25
+    assert 5**4 * 2**15 * 36 <= VELOCITY_GUARD < 6**4 * 2**15 * 36
+    for rule, m in ((ext5, 34), (ext5, 60), (idle6, 6)):
+        with pytest.raises(GuardExceededError):
+            velocity(rule, flat(m))
+        with pytest.raises(GuardExceededError):
+            integrate(rule, flat(m), 0.1)
+    assert np.all(velocity(idle6, flat(5)).values == 0.0)
+    assert integrate(idle6, flat(5), 0.1).checkpoints[-1][1].values[0, 0] == 0.5
 
 
 def test_velocity_result_is_symmetric(rng):
@@ -175,3 +191,17 @@ def test_velocity_result_is_symmetric(rng):
         w = random_graphon(rng, 4)
         vel = velocity(extremist_rule(3), w).values
         assert np.array_equal(vel, vel.T)
+
+
+def test_velocity_and_rhs_match_the_definition(rng):
+    # random rules of every builder order, 1-3 parts, and a graphon whose
+    # parts 0 and 1 are twins (equal masses and value rows)
+    twins = StepGraphon([0.3, 0.3, 0.4], [[0.7, 0.7, 0.25], [0.7, 0.7, 0.25], [0.25, 0.25, 0.6]])
+    for k, active in ((2, 1.0), (3, 1.0), (4, 0.5), (5, 0.03)):
+        rule = random_rule(rng, k, active)
+        for w in [random_graphon(rng, m) for m in (1, 2, 3)] + [twins]:
+            expect = brute_velocity(rule, w)
+            assert np.max(np.abs(velocity(rule, w).values - expect)) <= 1e-12, (k, w.m)
+            plan = VelocityPlan(rule, w.masses)
+            rhs = _field(plan)(plan.pack(w.values))
+            assert np.max(np.abs(rhs - plan.pack(expect))) <= 1e-12, (k, w.m)
