@@ -148,13 +148,9 @@ def induced_pattern(sim_graph, vertices) -> LabeledGraph:
         raise InvalidTupleError(f"tuple has repeated vertices: {tup}")
     if any(not 0 <= v < n for v in tup):
         raise InvalidTupleError(f"tuple entry out of range [0, {n}): {tup}")
-    rows = sim_graph.rows
+    adj = sim_graph.adj
     bits = 0
-    p = 0
-    for a in range(k):
-        ra = rows[tup[a]]
-        for b in range(a + 1, k):
-            if ra >> tup[b] & 1:
-                bits |= 1 << p
-            p += 1
+    for p, (a, b) in enumerate(pair_list(k)):
+        if adj[tup[a], tup[b]]:
+            bits |= 1 << p
     return LabeledGraph(k, bits)

@@ -3,9 +3,10 @@
 A rule of order k is a row-stochastic matrix R indexed by the 2**C(k,2)
 labeled graphs; R[F][H] is the probability of replacing drawn pattern F
 by H.  Rows are stored sparsely as sorted (H index, probability) lists.
-Sampling uses the inverse CDF in ascending H-index order, which fixes the
-exact mapping from a uniform variate to a replacement graph and keeps
-simulations bit-reproducible.
+Sampling uses the inverse CDF in ascending H-index order: the replacement
+is the first H whose cumulative probability exceeds the uniform variate
+u (bisect_right), which fixes the exact mapping from u to a replacement
+graph and keeps simulations bit-reproducible.
 
 The module also provides the derived tables used by the velocity
 operator: signed pair coefficients and the expected edge-change sequence
@@ -20,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NonStochasticRowError, UnsupportedOrderError
+from .errors import NonFiniteValueError, NonStochasticRowError, UnsupportedOrderError
 from .graphs import LabeledGraph, check_order, complement, component_closure
 
 PROB_TOL = 1e-12  # absolute tolerance on probabilities and row sums
@@ -41,8 +42,16 @@ class Rule:
             raise ValueError(
                 f"expected {self.num_graphs} rows for order {k}, got {len(rows)}"
             )
-        self.rows = [sorted((int(h), float(p)) for h, p in row) for row in rows]
+        # a row object passed for several graphs is normalised once and
+        # shared; each entry keeps its row alive, so ids stay unique
+        normalised = {}
+        self.rows = []
+        for row in rows:
+            if id(row) not in normalised:
+                normalised[id(row)] = (row, sorted((int(h), float(p)) for h, p in row))
+            self.rows.append(normalised[id(row)][1])
         self._cdfs = None
+        self._padded = None
         self._pair_coeffs = None
         self._deltas = None
 
@@ -65,13 +74,28 @@ class Rule:
             self._cdfs[f] = (support, cdf)
         return self._cdfs[f]
 
-    def sample_replacement(self, f: int, u: float) -> int:
-        """Replacement index for drawn graph f and uniform variate u."""
-        support, cdf = self.row_cdf(f)
-        pos = int(np.searchsorted(cdf, u, side="right"))
-        if pos >= len(support):
-            pos = len(support) - 1
-        return int(support[pos])
+    def sample_replacements(self, drawn: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Replacement indices for drawn graphs `drawn` and uniform variates `u`.
+
+        Vectorised `row_cdf` lookup with the simulator's tie rule: the
+        position is the count of CDF entries <= u (bisect_right), clipped
+        to the last support entry when rounding leaves the CDF short of u.
+        """
+        if self._padded is None:
+            # rows padded to one width: supports repeat their last entry,
+            # CDFs a sentinel above any uniform variate
+            width = max(len(row) for row in self.rows)
+            support = np.empty((self.num_graphs, width), dtype=np.int64)
+            cdf = np.full((self.num_graphs, width), 2.0)
+            for f in range(self.num_graphs):
+                sup, c = self.row_cdf(f)
+                support[f, : len(sup)] = sup
+                support[f, len(sup) :] = sup[-1]
+                cdf[f, : len(c)] = c
+            self._padded = (support, cdf)
+        support, cdf = self._padded
+        pos = (cdf[drawn] <= u[:, None]).sum(axis=1)
+        return support[drawn, np.minimum(pos, support.shape[1] - 1)]
 
     def row_matrix(self) -> np.ndarray:
         """Dense R as a (num_graphs, num_graphs) array.  k <= 5 only."""
@@ -238,23 +262,16 @@ def stirring_rule(k: int, variant: str = "firm") -> Rule:
     by_count = [[] for _ in range(npairs + 1)]
     for h in range(ngraphs):
         by_count[h.bit_count()].append(h)
-    rows = []
-    for f in range(ngraphs):
-        ell = f.bit_count()
-        if variant == "firm":
-            peers = by_count[ell]
-            prob = 1.0 / len(peers)
-            rows.append([(h, prob) for h in peers])
-        else:
+    # every row depends only on the drawn edge count ell
+    if variant == "firm":
+        by_ell = [[(h, 1.0 / len(peers)) for h in peers] for peers in by_count]
+    else:
+        by_ell = []
+        for ell in range(npairs + 1):
             p = ell / npairs
-            row = []
-            for h in range(ngraphs):
-                e = h.bit_count()
-                prob = p**e * (1 - p) ** (npairs - e)
-                if prob > 0.0:
-                    row.append((h, prob))
-            rows.append(row)
-    return Rule(k, rows)
+            probs = [p**e * (1 - p) ** (npairs - e) for e in range(npairs + 1)]
+            by_ell.append([(h, probs[h.bit_count()]) for h in range(ngraphs) if probs[h.bit_count()] > 0.0])
+    return Rule(k, [by_ell[f.bit_count()] for f in range(ngraphs)])
 
 
 def extremist_rule(k: int) -> Rule:
@@ -288,10 +305,12 @@ def ignorant_rule(k: int, dist) -> Rule:
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (ngraphs,):
         raise ValueError(f"distribution must have length {ngraphs}")
+    if not np.isfinite(dist).all():
+        raise NonFiniteValueError(f"ignorant distribution must be finite, got {dist!r}")
     if abs(dist.sum() - 1.0) > PROB_TOL or (dist < -PROB_TOL).any():
         raise NonStochasticRowError(0, abs(dist.sum() - 1.0), "ignorant distribution")
     row = [(h, float(p)) for h, p in enumerate(dist) if p > 0.0]
-    return Rule(k, [list(row) for _ in range(ngraphs)])
+    return Rule(k, [row] * ngraphs)
 
 
 def average_density(dist) -> float:

@@ -2,10 +2,11 @@
 
 Each step samples an ordered tuple of k distinct vertices by partial
 Fisher-Yates over a persistent index array (uniform over ordered tuples,
-O(k) per step), reads the induced pattern from bitset adjacency rows,
-samples the replacement by inverse CDF on the rule row, and rewrites
-only the pairs inside the tuple.  Block edge counters are maintained
-incrementally so checkpoint summaries cost O(parts^2), not O(n^2).
+O(k) per step), reads the induced pattern from a dense n x n byte
+adjacency, samples the replacement by inverse CDF on the rule row, and
+rewrites only the pairs inside the tuple.  Ordered block edge counts
+(`stepfun.block_counts`) seed counters that each step keeps up to date,
+so checkpoint summaries cost O(parts^2), not O(n^2).
 
 Randomness comes from named substreams of a counter-based generator
 keyed by (seed, purpose), so runs are bit-reproducible across platforms
@@ -23,16 +24,32 @@ import numpy as np
 from .graphs import pair_list
 from .integrators import IntegratorOptions
 from .rules import Rule
-from .stepfun import SimGraph, StepGraphon, StepKernel, cut_norm_exact, l1_dist, sample_graph, stepped
+from .stepfun import (
+    SimGraph,
+    StepGraphon,
+    StepKernel,
+    block_counts,
+    block_graphon,
+    cut_norm_exact,
+    l1_dist,
+    sample_graph,
+    stepped,
+)
 from .streams import substream
 from .trajectory import DEFAULT_OPTS, integrate
-from .velocity import _padded_rows, velocity
+from .velocity import velocity
 
 _BLOCK = 1 << 15  # random numbers drawn per refill
 
 
 class ProcessState:
-    """Mutable simulation state confined to one worker."""
+    """Mutable simulation state confined to one worker.
+
+    The step loop reads and writes a flat bytearray copy of the start
+    graph's adjacency (entry u * n + v); `adj` is a read-only n x n view
+    of the same buffer.  `block_counts[i][j]` counts the ordered vertex
+    pairs (u, v) with u in part i, v in part j and uv an edge.
+    """
 
     def __init__(self, rule: Rule, graph: SimGraph, seed: int):
         if graph.n < rule.k:
@@ -40,7 +57,9 @@ class ProcessState:
         self.rule = rule
         self.seed = seed
         self.n = graph.n
-        self.rows = list(graph.rows)
+        self._flat = bytearray(graph.adj.tobytes())
+        self.adj = np.frombuffer(self._flat, dtype=np.uint8).reshape(self.n, self.n)
+        self.adj.flags.writeable = False
         self.part_of = list(graph.part_of)
         self.num_parts = graph.num_parts
         self.step_count = 0
@@ -49,18 +68,9 @@ class ProcessState:
         self.last_replacement = -1
 
         m = self.num_parts
-        self.part_sizes = [0] * m
-        for p in self.part_of:
-            self.part_sizes[p] += 1
-        self.block_counts = [[0] * m for _ in range(m)]
-        for u, v in graph.edges():
-            i, j = self.part_of[u], self.part_of[v]
-            if i > j:
-                i, j = j, i
-            self.block_counts[i][j] += 1
-        self.edge_total = sum(
-            self.block_counts[i][j] for i in range(m) for j in range(i, m)
-        )
+        self.part_sizes = np.bincount(self.part_of, minlength=m)
+        self.block_counts = block_counts(self.adj, self.part_of, m).astype(np.int64).tolist()
+        self.edge_total = graph.edge_count()
 
         k = rule.k
         # single_target[f] is the replacement when row f is deterministic,
@@ -114,16 +124,18 @@ class ProcessState:
 
     def step_many(self, count: int) -> None:
         """Advance by `count` flips (the hot loop, kept allocation-free)."""
-        rows = self.rows
+        flat = self._flat
+        n = self.n
         part_of = self.part_of
         counts = self.block_counts
         perm = self._perm
         pairs = pair_list(self.rule.k)
-        npairs = len(pairs)
+        pair_bits = tuple((a, b, 1 << p) for p, (a, b) in enumerate(pairs))
         k = self.rule.k
         single = self.single_target
         supports = self.row_supports
         cdfs = self.row_cdfs
+        edges = self.edge_total
         done = 0
         while done < count:
             if self._tuple_ptr >= _BLOCK:
@@ -137,10 +149,9 @@ class ProcessState:
                     perm[s], perm[j] = perm[j], perm[s]
                 ptr += 1
                 drawn = 0
-                for p in range(npairs):
-                    a, b = pairs[p]
-                    if rows[perm[a]] >> perm[b] & 1:
-                        drawn |= 1 << p
+                for a, b, bit in pair_bits:
+                    if flat[perm[a] * n + perm[b]]:
+                        drawn |= bit
                 target = single[drawn]
                 if target < 0:
                     u = self._next_uniform()
@@ -159,18 +170,17 @@ class ProcessState:
                     a, b = pairs[p]
                     u_v, v_v = perm[a], perm[b]
                     i, j = part_of[u_v], part_of[v_v]
-                    if i > j:
-                        i, j = j, i
                     if target >> p & 1:
-                        rows[u_v] |= 1 << v_v
-                        rows[v_v] |= 1 << u_v
+                        flat[u_v * n + v_v] = flat[v_v * n + u_v] = 1
                         counts[i][j] += 1
-                        self.edge_total += 1
+                        counts[j][i] += 1
+                        edges += 1
                     else:
-                        rows[u_v] &= ~(1 << v_v)
-                        rows[v_v] &= ~(1 << u_v)
+                        flat[u_v * n + v_v] = flat[v_v * n + u_v] = 0
                         counts[i][j] -= 1
-                        self.edge_total -= 1
+                        counts[j][i] -= 1
+                        edges -= 1
+            self.edge_total = edges
             self.last_tuple = tuple(perm[:k])
             self._tuple_ptr = ptr
             self.step_count += budget
@@ -182,25 +192,11 @@ class ProcessState:
         return self.edge_total / comb(self.n, 2)
 
     def snapshot(self) -> SimGraph:
-        return SimGraph(self.n, list(self.rows), list(self.part_of))
+        return SimGraph(self.n, self.adj, self.part_of)
 
     def stepped(self, target_masses=None) -> StepGraphon:
         """Block-averaged graphon from the incremental counters."""
-        m = self.num_parts
-        sizes = self.part_sizes
-        values = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                cnt = self.block_counts[i][j]
-                if i == j:
-                    values[i, i] = 2.0 * cnt / (sizes[i] * sizes[i])
-                else:
-                    values[i, j] = values[j, i] = cnt / (sizes[i] * sizes[j])
-        if target_masses is None:
-            masses = np.array(sizes, dtype=float) / self.n
-        else:
-            masses = np.asarray(target_masses, dtype=float)
-        return StepGraphon(masses, values)
+        return block_graphon(self.block_counts, self.part_sizes, target_masses)
 
 
 def run(
@@ -260,14 +256,11 @@ def one_step_expectation_check(
     k = rule.k
     rng = substream(seed, "drift", i, j)
     pairs = pair_list(k)
-    npairs = len(pairs)
     part_of = np.array(graph.part_of)
     sizes = np.bincount(part_of, minlength=graph.num_parts)
     if sizes[i] == 0 or sizes[j] == 0:
         raise ValueError(f"parts ({i}, {j}) must both be non-empty")
-    adj = graph.adjacency_matrix()
-    support_pad, cdf_pad = _padded_rows(rule)
-    bit_weights = 1 << np.arange(npairs, dtype=np.int64)
+    adj = graph.adj
 
     # ordered k-tuples of distinct vertices, by rejection
     tuples = rng.integers(0, n, size=(samples, k))
@@ -283,10 +276,7 @@ def one_step_expectation_check(
     drawn = np.zeros(samples, dtype=np.int64)
     for p, (a, b) in enumerate(pairs):
         drawn |= adj[tuples[:, a], tuples[:, b]].astype(np.int64) << p
-    u = rng.random(samples)
-    pos = (u[:, None] > cdf_pad[drawn]).sum(axis=1)
-    pos = np.minimum(pos, support_pad.shape[1] - 1)
-    replacement = support_pad[drawn, pos]
+    replacement = rule.sample_replacements(drawn, rng.random(samples))
 
     scale = 2.0 / (sizes[i] * sizes[i]) if i == j else 1.0 / (sizes[i] * sizes[j])
     delta = np.zeros(samples)
@@ -360,18 +350,18 @@ def transference_experiment(
         raise ValueError("t_end must be positive")
     times = [t_end * (idx + 1) / checkpoint_count for idx in range(checkpoint_count)]
     graph0 = sample_graph(n, w0, substream(seed, "init"))
+    # the times are distinct and increasing, so integrate returns one
+    # checkpoint per time, in order
     traj = integrate(rule, w0, t_end, checkpoint_times=times, opts=opts)
-    traj_by_time = dict((round(t, 12), w) for t, w in traj.checkpoints)
 
     state = ProcessState(rule, graph0, seed)
     bisect_rng = substream(seed, "bisect")
     report = TransferenceReport([], [], [], [], [], [], [], [])
-    for t in times:
+    for t, (_, traj_w) in zip(times, traj.checkpoints):
         target = floor(t * n * n)
         if target > state.step_count:
             state.step_many(target - state.step_count)
         sim_w = state.stepped(target_masses=w0.masses)
-        traj_w = traj_by_time[round(t, 12)]
         diff = StepKernel(w0.masses, sim_w.values - traj_w.values)
         report.times.append(t)
         report.sim_graphons.append(sim_w)
@@ -387,11 +377,13 @@ def transference_experiment(
 
 
 def _bisection_variance(state: ProcessState, rng: np.random.Generator) -> float:
-    """Variance of refined block densities under one random part bisection."""
-    n = state.n
+    """Variance of refined block densities under one random part bisection.
+
+    Fine block 2 * part + half splits each part in two random halves.
+    """
     part_of = np.array(state.part_of)
     m = state.num_parts
-    halves = np.zeros(n, dtype=np.int64)
+    halves = np.zeros(state.n, dtype=np.int64)
     for p in range(m):
         members = np.flatnonzero(part_of == p)
         if len(members) < 2:
@@ -399,12 +391,8 @@ def _bisection_variance(state: ProcessState, rng: np.random.Generator) -> float:
         picked = rng.permutation(len(members))[: len(members) // 2]
         halves[members[picked]] = 1
     labels = 2 * part_of + halves
-    onehot = np.zeros((n, 2 * m))
-    onehot[np.arange(n), labels] = 1.0
-    adj = state.snapshot().adjacency_matrix().astype(float)
-    ordered_counts = onehot.T @ (adj @ onehot)
-    sizes = onehot.sum(axis=0)
-    fine = ordered_counts / np.outer(sizes, sizes)
+    counts = block_counts(state.adj, labels, 2 * m)
+    fine = block_graphon(counts, np.bincount(labels, minlength=2 * m)).values
     coarse = state.stepped().values
     expanded = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1)
     return float(np.var(fine - expanded))

@@ -5,7 +5,7 @@ and a symmetric value matrix.  Step graphons carry values in [0, 1] up to
 a small numeric band; step kernels are unrestricted (velocities and
 differences live here).  The module also provides subgraph densities,
 rooted induced densities, cut norms and distances, graph sampling, and
-the block-averaged graphon of a finite simulation graph.
+the block counts and block-averaged graphon of a finite simulation graph.
 """
 
 from __future__ import annotations
@@ -316,18 +316,21 @@ def cut_distance_perm(u: StepKernel, w: StepKernel) -> float:
 
 
 class SimGraph:
-    """Simple graph on n vertices with bitset adjacency rows.
+    """Simple graph on n vertices with a dense adjacency matrix.
 
-    Row u is an integer whose bit v is set iff uv is an edge.  `part_of`
+    `adj` is an n x n uint8 array, symmetric with a zero diagonal, whose
+    entry (u, v) is 1 iff uv is an edge; it costs n^2 bytes.  `part_of`
     assigns each vertex to a part of the step-graphon partition it was
     sampled from (or any caller-chosen grouping).
     """
 
-    def __init__(self, n: int, rows=None, part_of=None):
+    def __init__(self, n: int, adj=None, part_of=None):
         self.n = n
-        self.rows = list(rows) if rows is not None else [0] * n
-        if len(self.rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(self.rows)}")
+        self.adj = np.zeros((n, n), dtype=np.uint8) if adj is None else np.array(adj, dtype=np.uint8)
+        if self.adj.shape != (n, n):
+            raise ValueError(f"adjacency must be {n}x{n}, got {self.adj.shape}")
+        if (self.adj > 1).any() or (self.adj != self.adj.T).any() or self.adj.diagonal().any():
+            raise ValueError("adjacency must be a symmetric 0/1 matrix with a zero diagonal")
         if part_of is None:
             part_of = [0] * n
         self.part_of = list(int(p) for p in part_of)
@@ -339,43 +342,26 @@ class SimGraph:
         return max(self.part_of) + 1 if self.part_of else 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.adj[u, v])
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
-        self.rows[u] |= 1 << v
-        self.rows[v] |= 1 << u
+        self.adj[u, v] = self.adj[v, u] = 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        self.rows[u] &= ~(1 << v)
-        self.rows[v] &= ~(1 << u)
+        self.adj[u, v] = self.adj[v, u] = 0
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(self.adj.sum()) // 2
 
     def edges(self):
-        """Yield edges (u, v) with u < v."""
-        for u in range(self.n):
-            r = self.rows[u] >> (u + 1)
-            base = u + 1
-            while r:
-                low = r & -r
-                yield u, base + low.bit_length() - 1
-                r ^= low
+        """Iterate over edges (u, v) with u < v, in row-major order."""
+        us, vs = np.nonzero(np.triu(self.adj, 1))
+        return zip(us.tolist(), vs.tolist())
 
     def copy(self) -> "SimGraph":
-        return SimGraph(self.n, list(self.rows), list(self.part_of))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        nbytes = (self.n + 7) // 8
-        raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
-            axis=1,
-            bitorder="little",
-        )
-        return bits[:, : self.n].astype(bool)
+        return SimGraph(self.n, self.adj, self.part_of)
 
     def __repr__(self):
         return f"SimGraph(n={self.n}, edges={self.edge_count()})"
@@ -397,50 +383,51 @@ def sample_graph(n: int, w: StepGraphon, rng: np.random.Generator) -> SimGraph:
         hits = rng.random(n - u - 1) < probs
         adj[u, u + 1 :] = hits
     adj |= adj.T
-    rows = _pack_rows(adj)
-    return SimGraph(n, rows, parts.tolist())
+    return SimGraph(n, adj, parts.tolist())
 
 
-def _pack_rows(adj: np.ndarray) -> list[int]:
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def block_counts(adj: np.ndarray, labels, num_labels: int) -> np.ndarray:
+    """Ordered block counts onehot^T . adj . onehot of a labelled graph.
+
+    Entry (i, j) counts the ordered vertex pairs (u, v) with u labelled i,
+    v labelled j and uv an edge, so an edge inside one block counts twice
+    and the matrix is symmetric.  The float sums are exact for n^2 < 2^53.
+    """
+    onehot = np.zeros((len(labels), num_labels))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return onehot.T @ (adj @ onehot)
+
+
+def block_graphon(counts, sizes, target_masses=None) -> StepGraphon:
+    """Block-averaged graphon from ordered block counts and part sizes.
+
+    Dividing ordered counts by the ordered pairs of each block averages
+    cross edges off the diagonal and counts both orientations of edges
+    inside a part, so a complete part of v vertices averages to 1 - 1/v.
+    Masses default to the part frequencies.
+    """
+    sizes = np.asarray(sizes)
+    if (sizes == 0).any():
+        empty = int(np.flatnonzero(sizes == 0)[0])
+        raise ValueError(f"part {empty} contains no vertices")
+    values = np.asarray(counts) / np.outer(sizes, sizes)
+    if target_masses is None:
+        masses = sizes / sizes.sum()
+    else:
+        masses = np.asarray(target_masses, dtype=float)
+    return StepGraphon(masses, values)
 
 
 def stepped(graph: SimGraph, target_masses=None) -> StepGraphon:
     """Block-averaged graphon of a simulation graph over its parts.
 
-    Off-diagonal blocks average cross edges; diagonal blocks use the
-    convention that counts both orientations of within-part edges, so a
-    complete part of v vertices averages to 1 - 1/v.  Masses default to
-    the empirical part frequencies; pass `target_masses` (e.g. those of
-    the trajectory graphon the parts came from) to compare step functions
-    on a common partition.
+    Masses default to the empirical part frequencies; pass
+    `target_masses` (e.g. those of the trajectory graphon the parts came
+    from) to compare step functions on a common partition.
     """
-    n = graph.n
     m = graph.num_parts
-    sizes = np.bincount(graph.part_of, minlength=m)
-    if (sizes == 0).any():
-        empty = int(np.flatnonzero(sizes == 0)[0])
-        raise ValueError(f"part {empty} contains no vertices")
-    counts = np.zeros((m, m), dtype=np.int64)
-    part_of = graph.part_of
-    for u, v in graph.edges():
-        i, j = part_of[u], part_of[v]
-        if i > j:
-            i, j = j, i
-        counts[i, j] += 1
-    values = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                values[i, i] = 2.0 * counts[i, i] / (sizes[i] * sizes[i])
-            else:
-                values[i, j] = values[j, i] = counts[i, j] / (sizes[i] * sizes[j])
-    if target_masses is None:
-        masses = sizes / n
-    else:
-        masses = np.asarray(target_masses, dtype=float)
-    return StepGraphon(masses, values)
+    counts = block_counts(graph.adj, graph.part_of, m)
+    return block_graphon(counts, np.bincount(graph.part_of, minlength=m), target_masses)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +470,10 @@ def load_sim_graph(path) -> SimGraph:
             v, p = line.split()
             part_of[int(v) - 1] = int(p) - 1
     n = len(part_of)
-    graph = SimGraph(n, part_of=[part_of[v] for v in range(n)])
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            u, v = line.split()
-            graph.add_edge(int(u) - 1, int(v) - 1)
-    return graph
+        ends = np.array([line.split() for line in fh], dtype=np.int64).reshape(-1, 2) - 1
+    if ((ends < 0) | (ends >= n)).any():
+        raise ValueError(f"edge endpoint outside [1, {n}]")
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = 1
+    return SimGraph(n, adj, [part_of[v] for v in range(n)])

@@ -262,7 +262,6 @@ def velocity_monte_carlo(
     i, j = parts
     pairs = pair_list(k)
     npairs = len(pairs)
-    support_pad, cdf_pad = _padded_rows(rule)
     bit_weights = 1 << np.arange(npairs, dtype=np.int64)
     d = w.values
 
@@ -279,34 +278,12 @@ def velocity_monte_carlo(
         for p, (u, v) in enumerate(pairs):
             probs[:, p] = d[labels[:, u], labels[:, v]]
         drawn = (rng.random((samples, npairs)) < probs) @ bit_weights
-        u = rng.random(samples)
-        pos = (u[:, None] > cdf_pad[drawn]).sum(axis=1)
-        pos = np.minimum(pos, support_pad.shape[1] - 1)
-        replacement = support_pad[drawn, pos]
+        replacement = rule.sample_replacements(drawn, rng.random(samples))
         root_bit = pair_position(k, a, b)
         per_sample += (replacement >> root_bit & 1) - (drawn >> root_bit & 1)
     estimate = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     return MonteCarloVelocity(estimate, stderr, samples)
-
-
-def _padded_rows(rule: Rule):
-    """Row supports and CDFs padded to a rectangle for vectorized sampling."""
-    if getattr(rule, "_padded_rows", None) is not None:
-        return rule._padded_rows
-    width = max(len(row) for row in rule.rows)
-    support = np.zeros((rule.num_graphs, width), dtype=np.int64)
-    cdf = np.ones((rule.num_graphs, width + 1))
-    for f in range(rule.num_graphs):
-        sup, c = rule.row_cdf(f)
-        support[f, : len(sup)] = sup
-        support[f, len(sup) :] = sup[-1]
-        cdf[f, : len(c)] = c
-        cdf[f, len(c) :] = 2.0  # sentinel beyond any uniform variate
-        cdf[f, width] = 2.0
-    # searchsorted emulation uses strict >, so drop the final sentinel column
-    rule._padded_rows = (support, cdf[:, :width])
-    return rule._padded_rows
 
 
 # ---------------------------------------------------------------------------

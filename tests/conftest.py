@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library code paths
 they check: densities enumerate assignments with itertools, cut norms
 enumerate every subset pair, rooted densities multiply factors in plain
-Python loops, pair coefficients walk every rule entry, and the velocity
-sums its definition term by term.
+Python loops, pair coefficients walk every rule entry, the velocity
+sums its definition term by term, and block averages loop over ordered
+vertex pairs.
 """
 
 import itertools
@@ -155,6 +156,24 @@ def brute_cut_norm(kern: StepKernel) -> float:
             val = abs(weighted[np.ix_(srows, tcols)].sum()) if srows and tcols else 0.0
             best = max(best, val)
     return best
+
+
+def brute_block_average(adj, labels) -> np.ndarray:
+    """Block averages of a labelled graph by a loop over ordered vertex
+    pairs: entry (i, j) counts the edges uv with u in block i and v in
+    block j, as ordered pairs, over size(i) * size(j).
+    """
+    n = len(labels)
+    num = max(labels) + 1
+    sizes = [0] * num
+    for lab in labels:
+        sizes[lab] += 1
+    counts = [[0] * num for _ in range(num)]
+    for u in range(n):
+        for v in range(n):
+            if adj[u][v]:
+                counts[labels[u]][labels[v]] += 1
+    return np.array([[counts[i][j] / (sizes[i] * sizes[j]) for j in range(num)] for i in range(num)])
 
 
 def graph_components(g: LabeledGraph) -> int:

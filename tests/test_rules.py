@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from flipflow import (
     BUILTIN_RULES,
     LabeledGraph,
+    NonFiniteValueError,
     NonStochasticRowError,
     Rule,
     average_density,
@@ -122,6 +124,16 @@ def test_stirring_rules():
             rule = stirring_rule(k, variant)
             validate(rule)
             assert np.allclose(deltas(rule), 0.0, atol=1e-12)
+        # loose: row F is the binomial law with p = e(F) / C(k,2)
+        npairs = comb(k, 2)
+        loose = stirring_rule(k, "loose")
+        for f in range(1 << npairs):
+            p = f.bit_count() / npairs
+            binomial = [
+                (h, p ** h.bit_count() * (1 - p) ** (npairs - h.bit_count()))
+                for h in range(1 << npairs)
+            ]
+            assert loose.rows[f] == [(h, q) for h, q in binomial if q > 0.0]
     # firm: support preserves the edge count exactly
     firm = stirring_rule(4, "firm")
     for f, row in enumerate(firm.rows):
@@ -153,6 +165,33 @@ def test_ignorant_rule():
     assert abs(average_density(uniform) - 0.5) < 1e-15
     with pytest.raises(NonStochasticRowError):
         ignorant_rule(3, np.full(8, 0.1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ignorant_rule_rejects_non_finite_distribution(bad):
+    with pytest.raises(NonFiniteValueError):
+        ignorant_rule(2, [bad, bad])
+    with pytest.raises(NonFiniteValueError):
+        ignorant_rule(3, [bad] + [1 / 7] * 7)
+
+
+def test_vectorised_sampler_matches_bisect_right(rng):
+    tie = Rule(2, [[(0, 0.5), (1, 0.5)], [(1, 1.0)]])
+    rules = [builder() for builder in BUILTIN_RULES.values()] + [random_rule(rng, 3), tie]
+    for rule in rules:
+        drawn, u = [], []
+        for f in range(rule.num_graphs):
+            _, cdf = rule.row_cdf(f)
+            # random variates plus every CDF value exactly (the tie cases)
+            draws = np.concatenate([rng.random(8), cdf, [0.0]])
+            drawn += [f] * len(draws)
+            u += draws.tolist()
+        got = rule.sample_replacements(np.array(drawn), np.array(u))
+        for f, x, h in zip(drawn, u, got):
+            support, cdf = rule.row_cdf(f)
+            assert h == support[min(bisect_right(cdf.tolist(), x), len(support) - 1)]
+    # a tie at u = 0.5 moves past the first half of the row, as in the simulator
+    assert tie.sample_replacements(np.array([0]), np.array([0.5])).tolist() == [1]
 
 
 def test_pair_coefficient_signs_and_trivial():

@@ -23,6 +23,10 @@ from flipflow import (
     write_transference_csv,
 )
 from flipflow import LabeledGraph
+from flipflow.simulate import _bisection_variance
+from flipflow.stepfun import block_counts, block_graphon
+
+from conftest import brute_block_average
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -44,17 +48,17 @@ def test_triangle_free_start_is_absorbed():
     for u, v in ((0, 1), (1, 2), (2, 3), (4, 5)):
         g.add_edge(u, v)
     state = ProcessState(TR, g, seed=7)
-    before = list(state.rows)
+    before = state.adj.copy()
     state.step_many(3000)
-    assert state.rows == before
+    assert np.array_equal(state.adj, before)
 
 
 def test_trivial_rule_never_changes_the_graph():
     g = sample_graph(40, constant(0.4), substream(1, "init"))
     state = ProcessState(identity_rule(3), g, seed=5)
-    before = list(state.rows)
+    before = state.adj.copy()
     state.step_many(1000)
-    assert state.rows == before
+    assert np.array_equal(state.adj, before)
 
 
 def test_run_zero_steps_returns_initial_state_only():
@@ -71,11 +75,11 @@ def test_run_is_deterministic():
     b = ProcessState(TR, g.copy(), seed=11)
     a.step_many(4000)
     b.step_many(4000)
-    assert a.rows == b.rows
+    assert np.array_equal(a.adj, b.adj)
     assert a.block_counts == b.block_counts
     c = ProcessState(TR, g.copy(), seed=12)
     c.step_many(4000)
-    assert c.rows != a.rows
+    assert not np.array_equal(c.adj, a.adj)
 
 
 def test_locality_of_single_steps():
@@ -123,6 +127,46 @@ def test_incremental_counters_match_recount():
     fresh = stepped(state.snapshot())
     assert np.allclose(state.stepped().values, fresh.values, atol=1e-12)
     assert state.edge_total == state.snapshot().edge_count()
+
+
+def three_part_graph():
+    """Seeded graph on parts of 1, 6 and 9 vertices; part 1 is complete."""
+    part_of = [2, 1, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 2]
+    g = sample_graph(len(part_of), constant(0.4), substream(14, "init"))
+    g.part_of = part_of
+    members = [v for v, p in enumerate(part_of) if p == 1]
+    for u in members:
+        for v in members:
+            if u < v:
+                g.add_edge(u, v)
+    return g
+
+
+def test_block_averages_equal_the_pair_loop():
+    g = three_part_graph()
+    w = stepped(g)
+    assert np.array_equal(w.values, brute_block_average(g.adj, g.part_of))
+    assert w.values[1, 1] == 1 - 1 / 6  # complete part
+    assert w.values[0, 0] == 0.0  # one-vertex part
+    state = ProcessState(extremist_rule(3), g, seed=4)
+    state.step_many(3000)
+    assert state.step_count == 3000
+    assert np.array_equal(state.stepped().values, brute_block_average(state.adj, state.part_of))
+    # a one-vertex part cannot be bisected
+    assert _bisection_variance(state, substream(15, "bisect")) == 0.0
+    # merge it into the complete part: fine blocks 2 * part + half
+    merged = ProcessState(state.rule, SimGraph(g.n, state.adj, [max(p, 1) - 1 for p in g.part_of]), seed=4)
+    part_of = np.array(merged.part_of)
+    halves = np.zeros(g.n, dtype=np.int64)
+    rng = substream(15, "bisect")
+    for p in range(2):
+        members = np.flatnonzero(part_of == p)
+        halves[members[rng.permutation(len(members))[: len(members) // 2]]] = 1
+    labels = 2 * part_of + halves
+    fine = block_graphon(block_counts(merged.adj, labels, 4), np.bincount(labels)).values
+    assert np.array_equal(fine, brute_block_average(merged.adj, labels))
+    coarse = np.repeat(np.repeat(brute_block_average(merged.adj, merged.part_of), 2, 0), 2, 1)
+    assert _bisection_variance(merged, substream(15, "bisect")) == np.var(fine - coarse)
 
 
 def test_one_step_drift_trivial_rule():

@@ -323,7 +323,29 @@ def test_sim_graph_file_round_trip(tmp_path):
     path = tmp_path / "graph.txt"
     save_sim_graph(g, path)
     loaded = load_sim_graph(path)
-    assert loaded.rows == g.rows
+    assert np.array_equal(loaded.adj, g.adj)
     assert loaded.part_of == g.part_of
     first = path.read_text().splitlines()[0].split()
     assert int(first[0]) < int(first[1])  # 1-based, u < v
+    for bad_edge in ("3 3\n", "0 2\n", "1 31\n"):
+        path.write_text(bad_edge)
+        with pytest.raises(ValueError):
+            load_sim_graph(path)
+
+
+def test_sim_graph_adjacency():
+    g = SimGraph(4, part_of=[0, 0, 1, 1])
+    g.add_edge(0, 2)
+    g.add_edge(3, 1)
+    assert g.adj.dtype == np.uint8
+    assert g.has_edge(2, 0) and g.has_edge(1, 3) and not g.has_edge(0, 1)
+    assert list(g.edges()) == [(0, 2), (1, 3)]
+    assert g.edge_count() == 2
+    h = g.copy()
+    h.remove_edge(0, 2)
+    assert g.has_edge(0, 2) and not h.has_edge(0, 2)
+    with pytest.raises(ValueError):
+        g.add_edge(1, 1)
+    for bad in ([[0, 1], [0, 0]], [[1, 0], [0, 0]], [[0, 2], [2, 0]], [[0]]):
+        with pytest.raises(ValueError):
+            SimGraph(2, bad)
