@@ -150,19 +150,30 @@ def pair_coefficients(rule: Rule) -> np.ndarray:
     if rule._pair_coeffs is not None:
         return rule._pair_coeffs
     npairs = comb(rule.k, 2)
-    lengths = [len(row) for row in rule.rows]
+    # rows shared by several graphs (`Rule.__init__` keeps one object per
+    # row passed) are summed once
+    _, first, which = np.unique(
+        np.array([id(row) for row in rule.rows]), return_index=True, return_inverse=True
+    )
+    distinct = [rule.rows[f] for f in first]
+    lengths = [len(row) for row in distinct]
     flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(rule.rows)), dtype=float, count=2 * sum(lengths)
+        chain.from_iterable(chain.from_iterable(distinct)), dtype=float, count=2 * sum(lengths)
     ).reshape(-1, 2)
-    f = np.repeat(np.arange(rule.num_graphs, dtype=np.int64), lengths)
+    r = np.repeat(np.arange(len(distinct), dtype=np.int64), lengths)
     h = flat[:, 0].astype(np.int64)
     p = flat[:, 1]
-    # entries add in row order, as a loop over the rows would; p * 0 adds
-    # an exact zero where the pair is unchanged
-    coeff = np.column_stack([
-        np.bincount(f, weights=p * ((h >> pos & 1) - (f >> pos & 1)), minlength=rule.num_graphs)
-        for pos in range(npairs)
-    ])
+    # per distinct row and pair position, the sums of p * (h_pos - f_pos)
+    # for an F without the pair and with it: one bincount, in which the
+    # entries of each sum add in row order, as a loop over the rows
+    # would, and p * 0 adds an exact zero where the pair is unchanged
+    h_bits = (h[:, None] >> np.arange(npairs)) & 1
+    terms = np.stack((p[:, None] * h_bits, p[:, None] * (h_bits - 1)), axis=2)
+    bins = r[:, None] * (2 * npairs) + np.arange(2 * npairs)
+    sums = np.bincount(bins.ravel(), weights=terms.ravel(), minlength=len(distinct) * 2 * npairs)
+    sums = sums.reshape(len(distinct), npairs, 2)[which]
+    f_bits = (np.arange(rule.num_graphs)[:, None] >> np.arange(npairs)) & 1
+    coeff = np.where(f_bits, sums[:, :, 1], sums[:, :, 0])
     coeff.flags.writeable = False
     rule._pair_coeffs = coeff
     return coeff

@@ -6,6 +6,11 @@ a small numeric band; step kernels are unrestricted (velocities and
 differences live here).  The module also provides subgraph densities,
 rooted induced densities, cut norms and distances, graph sampling, and
 the block counts and block-averaged graphon of a finite simulation graph.
+
+A density is one tensor contraction over the part of each vertex: a
+mass vector per free vertex times a value (or complement) factor per
+pattern pair.  The exact cut norm reads every row subset's column sums
+from a (2^m, m) table that doubles once per row.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .graphs import LabeledGraph, pair_list
 MASS_TOL = 1e-12
 VALUE_BAND = 1e-9  # allowed numeric excursion outside [0, 1]
 
-DENSITY_GUARD = 10**8  # maximum m**k assignment enumeration
+DENSITY_GUARD = 10**8  # maximum m**k assignments a density contracts
 CUT_EXACT_GUARD = 14  # maximum part count for exact cut norm
 CUT_PERM_GUARD = 8  # maximum part count for permutation cut distance
 
@@ -101,50 +106,43 @@ def two_block(masses, x_diag1: float, x_diag2: float, y_off: float) -> StepGraph
 # Densities
 
 
-def _assignment_chunks(m: int, k: int, chunk: int = 1 << 16):
-    """Yield (rows, k) arrays covering the m**k assignment grid."""
-    total = m**k
-    powers = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % m
+def _contract(pattern: LabeledGraph, w: StepKernel, induced: bool, pinned=None) -> float:
+    """Sum over part assignments of mass products times pattern factors.
 
-
-def _guard_assignments(m: int, k: int) -> None:
-    if m**k > DENSITY_GUARD:
+    One tensor contraction: a mass vector per free vertex and, per
+    pattern pair, the value matrix (an edge), its complement (a non-edge
+    when `induced`) or nothing.  `pinned` maps vertices to fixed parts,
+    which index the pair factors instead of carrying a mass.  The guard
+    prices m to the power of the free vertex count (at least one).
+    """
+    pinned = pinned or {}
+    free = max(pattern.k - len(pinned), 1)
+    if w.m**free > DENSITY_GUARD:
         raise GuardExceededError(
-            f"density enumeration needs {m}**{k} assignments "
+            f"density enumeration needs {w.m}**{free} assignments "
             f"(> {DENSITY_GUARD}); coarsen the graphon first"
         )
+    comp = 1.0 - w.values if induced else None
+    operands = []
+    for v in range(pattern.k):
+        if v not in pinned:
+            operands += [w.masses, [v]]
+    for p, pair in enumerate(pair_list(pattern.k)):
+        factor = w.values if pattern.edges >> p & 1 else comp
+        if factor is not None:
+            index = tuple(pinned.get(v, slice(None)) for v in pair)
+            operands += [factor[index], [v for v in pair if v not in pinned]]
+    return float(np.einsum(*operands, [], optimize=True))
 
 
 def density(pattern: LabeledGraph, w: StepKernel) -> float:
     """Probability-weighted count of edge-respecting vertex placements."""
-    return _density_impl(pattern, w, induced=False)
+    return _contract(pattern, w, induced=False)
 
 
 def induced_density(pattern: LabeledGraph, w: StepKernel) -> float:
     """Like density but non-edges must also be respected."""
-    return _density_impl(pattern, w, induced=True)
-
-
-def _density_impl(pattern: LabeledGraph, w: StepKernel, induced: bool) -> float:
-    k, m = pattern.k, w.m
-    _guard_assignments(m, k)
-    pairs = pair_list(k)
-    d = w.values
-    total = 0.0
-    for assign in _assignment_chunks(m, k):
-        weight = np.prod(w.masses[assign], axis=1)
-        prob = np.ones(len(assign))
-        for p, (a, b) in enumerate(pairs):
-            vals = d[assign[:, a], assign[:, b]]
-            if pattern.edges >> p & 1:
-                prob *= vals
-            elif induced:
-                prob *= 1.0 - vals
-        total += float(weight @ prob)
-    return total
+    return _contract(pattern, w, induced=True)
 
 
 def rooted_induced_density(
@@ -160,26 +158,7 @@ def rooted_induced_density(
     a, b = roots
     if a == b:
         raise ValueError("roots must be distinct vertices")
-    k, m = pattern.k, w.m
-    _guard_assignments(m, max(k - 2, 1))
-    free = [v for v in range(k) if v != a and v != b]
-    pairs = pair_list(k)
-    d = w.values
-    total = 0.0
-    for free_assign in _assignment_chunks(m, len(free)):
-        rows = len(free_assign)
-        assign = np.empty((rows, k), dtype=np.int64)
-        assign[:, a] = parts[0]
-        assign[:, b] = parts[1]
-        for col, v in enumerate(free):
-            assign[:, v] = free_assign[:, col]
-        weight = np.prod(w.masses[free_assign], axis=1)
-        prob = np.ones(rows)
-        for p, (u, v) in enumerate(pairs):
-            vals = d[assign[:, u], assign[:, v]]
-            prob *= vals if pattern.edges >> p & 1 else 1.0 - vals
-        total += float(weight @ prob)
-    return total
+    return _contract(pattern, w, induced=True, pinned={a: parts[0], b: parts[1]})
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +193,11 @@ def cut_norm_exact(k: StepKernel, with_witness: bool = False):
     Exactness on step functions lets the sup over measurable rectangles
     be taken over unions of parts only.  For each row subset S the best
     column subset is the positive (or negative) support of the summed
-    rows, so the enumeration is 2^m * m, capped at m = 14.
+    rows, so the enumeration is 2^m * m, capped at m = 14.  The (2^m, m)
+    table of row sums, indexed by the subset's bits, doubles once per
+    row from the last to the first, so each sum adds its rows from the
+    highest index down.  The first maximum over the subsets in order,
+    the positive part before the negative, is the one reported.
     """
     m = k.m
     if m > CUT_EXACT_GUARD:
@@ -223,21 +206,14 @@ def cut_norm_exact(k: StepKernel, with_witness: bool = False):
             f"use cut_norm_lower_bound instead"
         )
     weighted = np.outer(k.masses, k.masses) * k.values
-    # row_sums[s] = column sums over the row subset s, built incrementally
-    best_val = 0.0
-    best_s = 0
-    best_pos = True
-    row_sums = np.zeros((1 << m, m))
-    for s in range(1, 1 << m):
-        low = s & -s
-        i = low.bit_length() - 1
-        row_sums[s] = row_sums[s ^ low] + weighted[i]
-        pos = row_sums[s][row_sums[s] > 0].sum()
-        neg = -row_sums[s][row_sums[s] < 0].sum()
-        if pos > best_val:
-            best_val, best_s, best_pos = pos, s, True
-        if neg > best_val:
-            best_val, best_s, best_pos = neg, s, False
+    row_sums = np.zeros((1, m))
+    for row in weighted[::-1]:
+        row_sums = np.stack((row_sums, row_sums + row), axis=1).reshape(-1, m)
+    pos = np.where(row_sums > 0, row_sums, 0.0).sum(axis=1)
+    neg = -np.where(row_sums < 0, row_sums, 0.0).sum(axis=1)
+    best_s, side = divmod(int(np.argmax(np.column_stack((pos, neg)))), 2)
+    best_pos = side == 0
+    best_val = pos[best_s] if best_pos else neg[best_s]
     if not with_witness:
         return float(best_val)
     rows = tuple(i for i in range(m) if best_s >> i & 1)

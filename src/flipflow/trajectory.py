@@ -64,12 +64,6 @@ class Trajectory:
     def times(self) -> list[float]:
         return [t for t, _ in self.checkpoints]
 
-    def at(self, t: float) -> StepGraphon:
-        for tc, w in self.checkpoints:
-            if abs(tc - t) <= 1e-12:
-                return w
-        raise KeyError(f"no checkpoint at t={t}")
-
 
 def flow_at(
     rule: Rule, w0: StepGraphon, t: float, opts: IntegratorOptions = DEFAULT_OPTS

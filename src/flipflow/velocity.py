@@ -49,7 +49,7 @@ from .rules import Rule, deltas, pair_coefficients
 from .stepfun import StepGraphon, StepKernel, check_masses
 from .streams import substream
 
-VELOCITY_GUARD = 10**9  # per-cell bound on m**(k-2) * |H_k| * k**2
+VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
 _CHUNK_ELEMS = 1 << 23  # cap on rows * 2**npairs per vectorized chunk
 
 
@@ -57,13 +57,18 @@ def _ordered_pairs(k: int):
     return [(a, b) for a in range(k) for b in range(k) if a != b]
 
 
-def _check_velocity_guard(rule: Rule, m: int) -> None:
-    k = rule.k
-    cost = m ** max(k - 2, 0) * rule.num_graphs * k * k
-    if cost > VELOCITY_GUARD:
+def _check_velocity_guard(k: int, m: int, row_elems: int) -> None:
+    """Price the C(m+k-1, k) multisets a plan builds before building them.
+
+    Each multiset holds its k parts, five arrays over the C(k, 2) pairs
+    (both parts, cell, factor, weight) and `row_elems` elements while its
+    patterns are summed.
+    """
+    elems = comb(m + k - 1, k) * (row_elems + k + 5 * comb(k, 2))
+    if elems > VELOCITY_GUARD:
         raise GuardExceededError(
-            f"velocity enumeration cost {cost:.2e} per cell exceeds {VELOCITY_GUARD:.0e} "
-            f"(k={k}, m={m}); coarsen the graphon"
+            f"velocity enumeration needs {elems:.2e} array elements, more than "
+            f"{VELOCITY_GUARD:.2e} (k={k}, m={m}); coarsen the graphon"
         )
 
 
@@ -179,9 +184,9 @@ class VelocityPlan:
         masses = np.asarray(masses, dtype=float)
         check_masses(masses)
         k, m = rule.k, len(masses)
-        _check_velocity_guard(rule, m)
-        enum = _multisets(k, m)
         patterns = _pattern_table(rule)
+        _check_velocity_guard(k, m, patterns.row_elems)
+        enum = _multisets(k, m)
         self.m = m
         self._upper = enum.upper
         self._ncells = m * (m + 1) // 2

@@ -212,7 +212,8 @@ def test_pair_coefficient_signs_and_trivial():
 
 def test_pair_coefficients_equal_the_entry_loop(rng):
     rules = [builder() for builder in BUILTIN_RULES.values()]
-    rules += [stirring_rule(4, "loose"), stirring_rule(4, "firm"), complementing_rule(5)]
+    rules += [stirring_rule(k, style) for k in (4, 5) for style in ("loose", "firm")]
+    rules += [complementing_rule(5)]
     rules += [random_rule(rng, k) for k in (2, 3, 4)] + [random_rule(rng, 5, active=0.1)]
     for rule in rules:
         assert np.array_equal(pair_coefficients(rule), brute_pair_coefficients(rule)), rule

@@ -84,9 +84,12 @@ def test_density_closed_forms():
 
 
 def test_density_against_brute_force(rng):
-    for _ in range(5):
-        w = random_graphon(rng, int(rng.integers(1, 4)))
-        for g in (EDGE2, TRIANGLE, LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])):
+    # every pattern up to order 3, seeded random ones of orders 4 and 5
+    patterns = [g for k in (2, 3) for g in enumerate_graphs(k)]
+    patterns += [LabeledGraph(k, int(rng.integers(1 << comb(k, 2)))) for k in (4, 4, 5, 5)]
+    for m in (1, 2, 3):
+        w = random_graphon(rng, m)
+        for g in patterns:
             assert density(g, w) == pytest.approx(brute_density(g, w, False), abs=1e-12)
             assert induced_density(g, w) == pytest.approx(
                 brute_density(g, w, True), abs=1e-12
@@ -123,13 +126,18 @@ def test_rooted_density_basics(rng):
 
 
 def test_rooted_density_against_brute_force(rng):
+    # roots in and against pair order, parts on one block and on two
     w = random_graphon(rng, 3)
-    for g in enumerate_graphs(3):
-        for roots in ((0, 1), (1, 2), (2, 0)):
-            for parts in ((0, 1), (2, 2)):
-                assert rooted_induced_density(g, roots, parts, w) == pytest.approx(
-                    brute_rooted(g, roots, parts, w), abs=1e-12
-                )
+    for k in (2, 3, 4):
+        patterns = enumerate_graphs(k) if k < 4 else [
+            LabeledGraph(k, int(e)) for e in rng.integers(1 << comb(k, 2), size=8)
+        ]
+        for g in patterns:
+            for roots in ((0, 1), (1, 0), (k - 1, 0)):
+                for parts in ((0, 1), (2, 2), (2, 0)):
+                    assert rooted_induced_density(g, roots, parts, w) == pytest.approx(
+                        brute_rooted(g, roots, parts, w), abs=1e-12
+                    )
 
 
 def test_rooted_supergraph_sum_matches_plain_rooted_density(rng):
@@ -165,6 +173,13 @@ def test_cut_norm_exact_against_brute_force(rng):
         for _ in range(4):
             k = random_kernel(rng, m)
             assert cut_norm_exact(k) == pytest.approx(brute_cut_norm(k), abs=1e-13)
+    # the witness rectangle attains the value
+    for m in range(1, 11):
+        for _ in range(3):
+            k = random_kernel(rng, m)
+            val, (rows, cols) = cut_norm_exact(k, with_witness=True)
+            weighted = np.outer(k.masses, k.masses) * k.values
+            assert abs(abs(weighted[np.ix_(rows, cols)].sum()) - val) <= 1e-15
 
 
 def test_cut_norm_guard():

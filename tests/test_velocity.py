@@ -31,7 +31,7 @@ from flipflow import (
 from flipflow import BUILTIN_RULES, LabeledGraph
 from flipflow.rules import deltas
 from flipflow.trajectory import _field
-from flipflow.velocity import VELOCITY_GUARD
+from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard
 
 from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule
 
@@ -172,18 +172,38 @@ def test_velocity_guard():
     def flat(m):
         return StepGraphon(np.full(m, 1 / m), np.full((m, m), 0.5))
 
-    # the cost per cell is m**(k-2) * |H_k| * k**2: extremist:5 first
-    # exceeds the guard at 34 parts, order 6 at 6 parts
-    ext5, idle6 = extremist_rule(5), identity_rule(6)
-    assert 33**3 * 2**10 * 25 <= VELOCITY_GUARD < 34**3 * 2**10 * 25
-    assert 5**4 * 2**15 * 36 <= VELOCITY_GUARD < 6**4 * 2**15 * 36
-    for rule, m in ((ext5, 34), (ext5, 60), (idle6, 6)):
+    # the guard prices C(m+k-1, k) multisets times (row_elems + k +
+    # 5 C(k,2)) elements: extremist:5 (1024 pattern rows) first exceeds it
+    # at 25 parts, an idle order-6 rule (one element) at 30 parts
+    ext4, ext5, idle6 = extremist_rule(4), extremist_rule(5), identity_rule(6)
+    assert comb(28, 5) * (1024 + 55) <= VELOCITY_GUARD < comb(29, 5) * (1024 + 55)
+    assert comb(34, 6) * (1 + 81) <= VELOCITY_GUARD < comb(35, 6) * (1 + 81)
+    _check_velocity_guard(5, 24, 1024)
+    _check_velocity_guard(6, 29, 1)
+    for rule, m in ((ext5, 25), (ext5, 60), (ext4, 200), (idle6, 30)):
         with pytest.raises(GuardExceededError):
             velocity(rule, flat(m))
         with pytest.raises(GuardExceededError):
             integrate(rule, flat(m), 0.1)
-    assert np.all(velocity(idle6, flat(5)).values == 0.0)
-    assert integrate(idle6, flat(5), 0.1).checkpoints[-1][1].values[0, 0] == 0.5
+    assert np.all(velocity(idle6, flat(6)).values == 0.0)
+    assert integrate(idle6, flat(6), 0.1).checkpoints[-1][1].values[0, 0] == 0.5
+    # at the largest part count the guard passes, for the cheapest and
+    # the costliest pattern sums of each order, the plan's arrays (8-byte
+    # parts, pair arrays and pattern-sum rows) fit in 1 GiB; computed,
+    # not allocated
+    for k in range(2, 7):
+        npairs = comb(k, 2)
+        for row_elems in (1, 1 << npairs):
+            m = 1
+            while True:
+                try:
+                    _check_velocity_guard(k, m + 1, row_elems)
+                except GuardExceededError:
+                    break
+                m += 1
+            rows = comb(m + k - 1, k)
+            nbytes = 8 * rows * (k + 5 * npairs + row_elems)
+            assert nbytes <= 1 << 30, (k, row_elems, m, nbytes)
 
 
 def test_velocity_result_is_symmetric(rng):
