@@ -7,6 +7,7 @@ provides statistical harnesses verifying that the discrete process
 tracks its deterministic limit.
 """
 
+from .csvio import write_transference_csv
 from .errors import (
     ConfigError,
     FlipflowError,
@@ -58,7 +59,6 @@ from .simulate import (
     one_step_expectation_check,
     run,
     transference_experiment,
-    write_transference_csv,
 )
 from .stepfun import (
     SimGraph,

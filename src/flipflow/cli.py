@@ -1,11 +1,13 @@
 """Command-line front end for experiments.
 
 Subcommands: simulate, trajectory, transference, fixed-points,
-velocity-field, periodic-demo.  Every experiment is configured either by
-flags or by a JSON config file mirroring the flag names (flags win), all
-randomness flows from --seed, and outputs are CSV files whose schemas
-are documented in the README.  Identical invocations produce
-byte-identical outputs.
+velocity-field, periodic-demo; `_MODES` maps each to its command and
+the fields it requires.  Every experiment is configured by flags, by a
+JSON config file, or both (flags win).  The flags, the config keys
+(field or flag name) and their types, choices and bounds all come from
+the fields of `ExperimentConfig`.  All randomness flows from --seed, and
+outputs are CSV files whose schemas are documented in the README.
+Identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime
 fault (integration failure or an enumeration guard).
@@ -16,56 +18,67 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from math import floor
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FlipflowError, GuardExceededError, IntegrationFaultError
-from .integrators import IntegratorOptions
+from .csvio import TRANSFERENCE_HEADER, write_csv, write_transference_csv
+from .csvio import read_csv  # noqa: F401  (every CLI CSV parses with cli.read_csv)
+from .errors import ConfigError, FlipflowError
+from .integrators import METHODS, IntegratorOptions
 from .rules import Rule, load_rule, make_rule, validate
-from .simulate import run, transference_experiment, write_transference_csv
-from .stepfun import StepGraphon, constant, load_graphon, two_block
+from .simulate import run, transference_experiment
+from .stepfun import StepGraphon, constant, load_graphon, sample_graph, two_block
+from .streams import substream
 from .trajectory import constant_fixed_points, integrate, planar_demo
 from .velocity import velocity
 
-MODES = (
-    "simulate",
-    "trajectory",
-    "transference",
-    "fixed-points",
-    "velocity-field",
-    "periodic-demo",
-)
 
-_STOCHASTIC_MODES = ("simulate", "transference")
+def _option(help: str, default=None, *, flag=None, choices=None, least=None):
+    """A field that is also a flag (`flag`, or the field name with ``-``
+    for ``_``) and a config key; `least` is the smallest value accepted."""
+    return field(
+        default=default,
+        metadata={"help": help, "flag": flag, "choices": choices, "least": least},
+    )
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; one per CLI invocation."""
+    """Validated experiment description; one per CLI invocation.
+
+    Every field but `mode` is a flag and a config key: its annotation
+    gives the type, its metadata the help, flag, choices and bound.
+    """
 
     mode: str
-    rule: str | None = None
-    rule_file: str | None = None
-    init: str | None = None
-    init_file: str | None = None
-    seed: int | None = None
-    out: str | None = None
-    n: int | None = None
-    t_end: float | None = None
-    steps: int | None = None
-    checkpoints: int = 11
-    grid: int = 21
-    klass: str = "two-block-sym"
-    replicates: int = 1
-    start: str | None = None
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    method: str = "rk45_adaptive"
-    step: float | None = None
-    grid_n: int = 1001
-    tol: float = 1e-10
+    rule: str | None = _option("builtin rule spec, e.g. er, extremist:3")
+    rule_file: str | None = _option("JSON rule file")
+    init: str | None = _option(
+        "initial graphon, e.g. const:0.5 or two-block:0.5,0.5,0.95,0.95,0.18"
+    )
+    init_file: str | None = _option("JSON graphon file")
+    seed: int | None = _option("master seed (required for stochastic modes)")
+    out: str | None = _option("output CSV path")
+    n: int | None = _option("number of simulated vertices")
+    t_end: float | None = _option("final rescaled time")
+    steps: int | None = _option("number of flip steps (simulate)")
+    checkpoints: int = _option("number of checkpoints", 11, least=1)
+    grid: int = _option("grid size (velocity-field)", 21, least=2)
+    klass: str = _option(
+        "graphon class for velocity-field", "two-block-sym",
+        flag="class", choices=("two-block-sym",),
+    )
+    replicates: int = _option("replicate count (transference)", 1, least=1)
+    start: str = _option("start point x,y (periodic-demo)", "0.25,0.8")
+    rtol: float = _option("integrator relative tolerance", IntegratorOptions.rtol)
+    atol: float = _option("integrator absolute tolerance", IntegratorOptions.atol)
+    method: str = _option("integrator", IntegratorOptions.method, choices=METHODS)
+    step: float | None = _option("fixed step size for rk4_fixed")
+    grid_n: int = _option("root scan grid (fixed-points)", 1001)
+    tol: float = _option("root tolerance (fixed-points)", 1e-10)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -80,66 +93,78 @@ class ExperimentConfig:
         )
 
 
-def _normalize_key(key: str) -> str:
-    key = key.replace("-", "_")
-    return "klass" if key == "class" else key
+_OPTIONS = [f for f in fields(ExperimentConfig) if f.metadata]
+# the declared type of each field, without its `| None`
+_KIND = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
+
+
+def _flag(f) -> str:
+    return "--" + (f.metadata.get("flag") or f.name.replace("_", "-"))
+
+
+# a config key is a field name or its flag name
+_BY_KEY = {
+    key: f for f in fields(ExperimentConfig) for key in (f.name, _flag(f)[2:])
+}
+
+
+def _read_config(path, problems: list[str]) -> dict:
+    """Values of a JSON config file, checked against the declared fields."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc}"])
+    if not isinstance(data, dict):
+        raise ConfigError([f"config file {path} must hold a JSON object"])
+    values = {}
+    for key, value in data.items():
+        f = _BY_KEY.get(key)
+        if f is None:
+            problems.append(f"unknown config key {key!r}")
+            continue
+        if value is None:
+            continue
+        kind, choices = _KIND[f.name], f.metadata.get("choices")
+        # a JSON bool is not an int; an int is a valid float
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            problems.append(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        elif choices and value not in choices:
+            problems.append(f"config key {key!r} must be one of {', '.join(choices)}")
+        else:
+            values[f.name] = value
+    return values
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file and flags (flags win) and validate all at once."""
-    values: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                values.update(
-                    {_normalize_key(k): v for k, v in json.load(fh).items()}
-                )
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError([f"cannot read config file {config_path}: {exc}"])
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        values[key] = value
+    problems: list[str] = []
+    values = _read_config(args.config, problems) if args.config else {}
+    for f in _OPTIONS:
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     values["mode"] = args.mode
+    cfg = ExperimentConfig(**values)
 
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    problems = [f"unknown config key {k!r}" for k in values if k not in known]
-    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k in known})
-
-    if cfg.mode not in MODES:
-        problems.append(f"unknown mode {cfg.mode!r}")
-    if cfg.mode in _STOCHASTIC_MODES and cfg.seed is None:
-        problems.append(f"--seed is required in {cfg.mode} mode")
-    if cfg.mode != "periodic-demo":
-        if not cfg.rule and not cfg.rule_file:
-            problems.append("--rule or --rule-file is required")
-    if cfg.mode in ("simulate", "trajectory", "transference"):
-        if not cfg.init and not cfg.init_file:
-            problems.append("--init or --init-file is required")
-    if cfg.mode in ("simulate", "transference") and not cfg.n:
-        problems.append("--n is required for simulation modes")
-    if cfg.mode == "simulate" and cfg.steps is None and cfg.t_end is None:
-        problems.append("simulate needs --steps or --t-end")
-    if cfg.mode in ("trajectory", "transference", "periodic-demo") and cfg.t_end is None:
-        problems.append(f"--t-end is required in {cfg.mode} mode")
-    out_modes = ("simulate", "trajectory", "transference", "velocity-field", "periodic-demo")
-    if cfg.mode in out_modes and not cfg.out:
-        problems.append(f"--out is required in {cfg.mode} mode")
-    if cfg.checkpoints < 1:
-        problems.append("--checkpoints must be >= 1")
-    if cfg.grid < 2:
-        problems.append("--grid must be >= 2")
+    for need in _MODES[cfg.mode][1]:
+        names = need if isinstance(need, tuple) else (need,)
+        if all(getattr(cfg, name) in (None, "") for name in names):
+            flags = " or ".join(_flag(_BY_KEY[name]) for name in names)
+            problems.append(f"{flags} is required in {cfg.mode} mode")
+    for f in _OPTIONS:
+        least = f.metadata["least"]
+        if least is not None and getattr(cfg, f.name) < least:
+            problems.append(f"{_flag(f)} must be >= {least}")
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
 def _build_rule(cfg: ExperimentConfig) -> Rule:
-    if cfg.rule_file:
-        rule = load_rule(cfg.rule_file)
-    else:
-        rule = make_rule(cfg.rule)
+    rule = load_rule(cfg.rule_file) if cfg.rule_file else make_rule(cfg.rule)
     validate(rule)
     return rule
 
@@ -152,12 +177,10 @@ def _build_init(cfg: ExperimentConfig) -> StepGraphon:
     if head == "const":
         return constant(float(rest))
     if head == "two-block":
-        fields = [float(x) for x in rest.split(",")]
-        if len(fields) != 5:
-            raise ConfigError(
-                ["two-block init needs mass1,mass2,x1,x2,y " f"(got {spec!r})"]
-            )
-        m1, m2, x1, x2, y = fields
+        vals = [float(x) for x in rest.split(",")]
+        if len(vals) != 5:
+            raise ConfigError([f"two-block init needs mass1,mass2,x1,x2,y (got {spec!r})"])
+        m1, m2, x1, x2, y = vals
         return two_block((m1, m2), x1, x2, y)
     raise ConfigError([f"unknown init spec {spec!r}"])
 
@@ -171,45 +194,21 @@ def _cells(w: StepGraphon) -> list[float]:
     return [float(v) for v in w.values[iu]]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read back any CSV this package writes: (header, float matrix)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
-    data = np.array(rows) if rows else np.empty((0, len(header)))
-    if data.size and data.shape[1] != len(header):
-        raise ValueError(f"ragged CSV {path}: {data.shape[1]} columns vs {len(header)} headers")
-    return header, data
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    from .stepfun import sample_graph
-    from .streams import substream
-
     rule = _build_rule(cfg)
     w0 = _build_init(cfg)
     n = cfg.n
     total = cfg.steps if cfg.steps is not None else floor(cfg.t_end * n * n)
-    marks = sorted({round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)}) if cfg.checkpoints > 1 else [total]
+    marks = [round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)] if cfg.checkpoints > 1 else [total]
     graph0 = sample_graph(n, w0, substream(cfg.seed, "init"))
     snapshots = run(rule, graph0, total, checkpoint_steps=marks, seed=cfg.seed)
-    m = w0.m
-    header = ["step", "t", "density"] + _cell_labels(m)
-    rows = []
-    for step_no, w in snapshots:
-        rows.append([step_no, step_no / (n * n), w.edge_density()] + _cells(w))
-    _write_csv(cfg.out, header, rows)
+    header = ["step", "t", "density"] + _cell_labels(w0.m)
+    rows = [[s, s / (n * n), w.edge_density()] + _cells(w) for s, w in snapshots]
+    write_csv(cfg.out, header, rows)
     return 0
 
 
@@ -220,30 +219,22 @@ def _cmd_trajectory(cfg: ExperimentConfig) -> int:
     traj = integrate(rule, w0, cfg.t_end, checkpoint_times=times, opts=cfg.integrator_options())
     header = ["t"] + _cell_labels(w0.m)
     rows = [[t] + _cells(w) for t, w in traj.checkpoints]
-    _write_csv(cfg.out, header, rows)
+    write_csv(cfg.out, header, rows)
     return 0
 
 
 def _cmd_transference(cfg: ExperimentConfig) -> int:
-    rule = _build_rule(cfg)
-    w0 = _build_init(cfg)
+    rule, w0, opts = _build_rule(cfg), _build_init(cfg), cfg.integrator_options()
+    # replicate r runs with seed + r, when its rows are due to be written
+    reports = (
+        transference_experiment(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed + r, opts=opts)
+        for r in range(cfg.replicates)
+    )
     if cfg.replicates == 1:
-        report = transference_experiment(
-            rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed,
-            opts=cfg.integrator_options(),
-        )
-        write_transference_csv(report, cfg.out)
-        return 0
-    # replicate seeds are derived as seed, seed+1, ...; rows sorted by replicate
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        fh.write("replicate,t,cut_dist,l1_dist,sim_density,traj_density\n")
-        for rep_id in range(cfg.replicates):
-            report = transference_experiment(
-                rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed + rep_id,
-                opts=cfg.integrator_options(),
-            )
-            for row in report.rows():
-                fh.write(str(rep_id) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        write_transference_csv(next(reports), cfg.out)
+    else:
+        rows = ([str(r), *row] for r, report in enumerate(reports) for row in report.rows())
+        write_csv(cfg.out, ["replicate"] + TRANSFERENCE_HEADER, rows)
     return 0
 
 
@@ -253,14 +244,12 @@ def _cmd_fixed_points(cfg: ExperimentConfig) -> int:
     for r in roots:
         print(format(r, ".12g"))
     if cfg.out:
-        _write_csv(cfg.out, ["fixed_point"], [[r] for r in roots])
+        write_csv(cfg.out, ["fixed_point"], [[r] for r in roots])
     return 0
 
 
 def _cmd_velocity_field(cfg: ExperimentConfig) -> int:
     rule = _build_rule(cfg)
-    if cfg.klass != "two-block-sym":
-        raise ConfigError([f"unknown graphon class {cfg.klass!r}"])
     grid = np.linspace(0.0, 1.0, cfg.grid)
     rows = []
     for x in grid:
@@ -268,28 +257,28 @@ def _cmd_velocity_field(cfg: ExperimentConfig) -> int:
             w = two_block((0.5, 0.5), float(x), float(x), float(y))
             vel = velocity(rule, w)
             rows.append([x, y, vel.values[0, 0], vel.values[0, 1]])
-    _write_csv(cfg.out, ["x", "y", "vx", "vy"], rows)
+    write_csv(cfg.out, ["x", "y", "vx", "vy"], rows)
     return 0
 
 
 def _cmd_periodic_demo(cfg: ExperimentConfig) -> int:
-    start = (0.25, 0.8)
-    if cfg.start:
-        sx, sy = cfg.start.split(",")
-        start = (float(sx), float(sy))
-    trace = planar_demo(start, cfg.t_end, opts=cfg.integrator_options())
+    sx, sy = cfg.start.split(",")
+    trace = planar_demo((float(sx), float(sy)), cfg.t_end, opts=cfg.integrator_options())
     rows = [[t, p[0], p[1]] for t, p in zip(trace.times, trace.points)]
-    _write_csv(cfg.out, ["t", "x", "y"], rows)
+    write_csv(cfg.out, ["t", "x", "y"], rows)
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "trajectory": _cmd_trajectory,
-    "transference": _cmd_transference,
-    "fixed-points": _cmd_fixed_points,
-    "velocity-field": _cmd_velocity_field,
-    "periodic-demo": _cmd_periodic_demo,
+_RULE = ("rule", "rule_file")
+_INIT = ("init", "init_file")
+# mode -> (command, required fields); a tuple of fields means "one of these"
+_MODES = {
+    "simulate": (_cmd_simulate, ("seed", _RULE, _INIT, "n", ("steps", "t_end"), "out")),
+    "trajectory": (_cmd_trajectory, (_RULE, _INIT, "t_end", "out")),
+    "transference": (_cmd_transference, ("seed", _RULE, _INIT, "n", "t_end", "out")),
+    "fixed-points": (_cmd_fixed_points, (_RULE,)),
+    "velocity-field": (_cmd_velocity_field, (_RULE, "out")),
+    "periodic-demo": (_cmd_periodic_demo, ("t_end", "out")),
 }
 
 
@@ -299,29 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Flip-process simulations and graphon trajectories",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in _MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--rule", help="builtin rule spec, e.g. er, extremist:3")
-        p.add_argument("--rule-file", dest="rule_file", help="JSON rule file")
-        p.add_argument("--init", help="initial graphon, e.g. const:0.5 or two-block:0.5,0.5,0.95,0.95,0.18")
-        p.add_argument("--init-file", dest="init_file", help="JSON graphon file")
-        p.add_argument("--seed", type=int, help="master seed (required for stochastic modes)")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--n", type=int, help="number of simulated vertices")
-        p.add_argument("--t-end", dest="t_end", type=float, help="final rescaled time")
-        p.add_argument("--steps", type=int, help="number of flip steps (simulate)")
-        p.add_argument("--checkpoints", type=int, help="number of checkpoints")
-        p.add_argument("--grid", type=int, help="grid size (velocity-field)")
-        p.add_argument("--class", dest="klass", help="graphon class for velocity-field")
-        p.add_argument("--replicates", type=int, help="replicate count (transference)")
-        p.add_argument("--start", help="start point x,y (periodic-demo)")
-        p.add_argument("--rtol", type=float, help="integrator relative tolerance")
-        p.add_argument("--atol", type=float, help="integrator absolute tolerance")
-        p.add_argument("--method", choices=("rk45_adaptive", "rk4_fixed"), help="integrator")
-        p.add_argument("--step", type=float, help="fixed step size for rk4_fixed")
-        p.add_argument("--grid-n", dest="grid_n", type=int, help="root scan grid (fixed-points)")
-        p.add_argument("--tol", type=float, help="root tolerance (fixed-points)")
+        for f in _OPTIONS:
+            p.add_argument(
+                _flag(f), dest=f.name, type=_KIND[f.name],
+                choices=f.metadata["choices"], help=f.metadata["help"],
+            )
     return parser
 
 
@@ -339,15 +313,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.mode](cfg)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _MODES[cfg.mode][0](cfg)
+    except (ValueError, OSError) as exc:  # ConfigError here names one problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrationFaultError, GuardExceededError, FlipflowError) as exc:
+    except FlipflowError as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,8 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
+METHODS = ("rk45_adaptive", "rk4_fixed")
+
 _MIN_STEP_FRACTION = 1e-14
 _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.2
@@ -52,10 +54,9 @@ class IntegratorOptions:
     atol: float = 1e-12
     step: float | None = None  # fixed step for rk4_fixed
     band_tol: float = 1e-9
-    max_time: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("rk45_adaptive", "rk4_fixed"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")

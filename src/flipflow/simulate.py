@@ -315,14 +315,10 @@ class TransferenceReport:
         return max(self.cut_dists)
 
     def rows(self):
-        for idx, t in enumerate(self.times):
-            yield (
-                t,
-                self.cut_dists[idx],
-                self.l1_dists[idx],
-                self.sim_densities[idx],
-                self.traj_densities[idx],
-            )
+        """(t, cut_dist, l1_dist, sim_density, traj_density) per checkpoint."""
+        return zip(
+            self.times, self.cut_dists, self.l1_dists, self.sim_densities, self.traj_densities
+        )
 
 
 def transference_experiment(
@@ -397,9 +393,3 @@ def _bisection_variance(state: ProcessState, rng: np.random.Generator) -> float:
     expanded = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1)
     return float(np.var(fine - expanded))
 
-
-def write_transference_csv(report: TransferenceReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,cut_dist,l1_dist,sim_density,traj_density\n")
-        for row in report.rows():
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -75,8 +75,6 @@ def flow_at(
     returned object then fails construction and the caller should use
     `backward_age` instead).
     """
-    if opts.max_time is not None and abs(t) > opts.max_time:
-        raise ValueError(f"|t|={abs(t)} exceeds max_time={opts.max_time}")
     if t == 0.0:
         return w0
     stats = StepStats()
@@ -229,7 +227,8 @@ def find_destination(
     reaches `t_max` without settling is reported, never guessed: there
     are rules with periodic trajectories, so non-convergence is a value.
     """
-    if eps_vel <= 0 or eps_move <= 0 or t_max <= 0:
+    # written so that NaN fails too: the loop below must run at least once
+    if not (eps_vel > 0 and eps_move > 0 and t_max > 0):
         raise ValueError("tolerances and t_max must be positive")
     plan = VelocityPlan(rule, w0.masses)
     f = _field(plan)
@@ -247,7 +246,7 @@ def find_destination(
             w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
             return DestinationResult(True, w, residual, movement, t)
     w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
-    return DestinationResult(False, w, float(np.max(np.abs(f(y)))), movement, t)
+    return DestinationResult(False, w, residual, movement, t)
 
 
 def constant_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) -> list[float]:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from flipflow import save_rule, complementing_rule, two_block, velocity, extremist_rule
+from flipflow import cli
 from flipflow.cli import ExperimentConfig, main, read_csv
 
 
@@ -166,3 +168,85 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_transference_replicates_are_single_runs_with_consecutive_seeds(tmp_path):
+    base = ["transference", "--rule", "er", "--init", "const:0.3", "--n", "120",
+            "--t-end", "0.05", "--checkpoints", "2"]
+    out = tmp_path / "reps.csv"
+    assert run_cli(base + ["--seed", "5", "--replicates", "2", "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    assert header == "replicate,t,cut_dist,l1_dist,sim_density,traj_density"
+    for rep_id in range(2):
+        single = tmp_path / f"single{rep_id}.csv"
+        assert run_cli(base + ["--seed", str(5 + rep_id), "--out", str(single)]) == 0
+        expected = single.read_text().splitlines()[1:]
+        assert [l for l in lines if l.startswith(f"{rep_id},")] == [f"{rep_id},{l}" for l in expected]
+    assert len(lines) == 4
+
+
+def test_replicates_below_one_are_rejected(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        ["transference", "--rule", "er", "--init", "const:0", "--n", "120",
+         "--t-end", "0.05", "--seed", "1", "--replicates", "0", "--out", str(out)]
+    )
+    assert code == 1
+    assert "--replicates must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one value per option, of its declared type; the flag of `klass` is --class
+OPTION_VALUES = {
+    "rule": "er", "rule_file": "r.json", "init": "const:0.5", "init_file": "g.json",
+    "seed": 0, "out": "o.csv", "n": 150, "t_end": 0.25, "steps": 40, "checkpoints": 4,
+    "grid": 3, "klass": "two-block-sym", "replicates": 2, "start": "0.3,0.7",
+    "rtol": 1e-8, "atol": 1e-9, "method": "rk4_fixed", "step": 0.125, "grid_n": 51,
+    "tol": 1e-7,
+}
+
+
+def _flag_name(name):
+    return "class" if name == "klass" else name.replace("_", "-")
+
+
+@pytest.mark.parametrize("mode", ["simulate", "trajectory", "transference",
+                                  "fixed-points", "velocity-field", "periodic-demo"])
+def test_every_option_parses_as_flag_and_as_config_key(tmp_path, mode):
+    assert set(OPTION_VALUES) | {"mode"} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    expected = ExperimentConfig(mode=mode, **OPTION_VALUES)
+    parser = cli._build_parser()
+    argv = [mode]
+    for name, value in OPTION_VALUES.items():
+        argv += ["--" + _flag_name(name), str(value)]
+    assert cli.parse_config(parser.parse_args(argv)) == expected
+    for spell in (lambda name: name, _flag_name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({spell(k): v for k, v in OPTION_VALUES.items()}))
+        assert cli.parse_config(parser.parse_args([mode, "--config", str(path)])) == expected
+
+
+def test_config_file_that_is_not_an_object_is_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert run_cli(["fixed-points", "--rule", "er", "--config", str(path)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_config_values_are_checked_against_declared_types(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "o.csv"
+    good = {"rule": "er", "init": "const:0", "t-end": 1, "seed": None, "out": str(out)}
+    path.write_text(json.dumps(dict(good, checkpoints="3", grid=True, method="euler")))
+    assert run_cli(["trajectory", "--config", str(path)]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == [
+        "error: config key 'checkpoints' must be int, got '3'",
+        "error: config key 'grid' must be int, got True",
+        "error: config key 'method' must be one of rk45_adaptive, rk4_fixed",
+    ]
+    assert not out.exists()
+    # an int is a valid float and null leaves a field unset
+    path.write_text(json.dumps(good))
+    assert run_cli(["trajectory", "--config", str(path)]) == 0
+    assert read_csv(out)[1][-1, 0] == 1.0

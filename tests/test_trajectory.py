@@ -158,6 +158,11 @@ def test_find_destination_reports_non_convergence():
     res = find_destination(ER, constant(0.0), eps_vel=1e-12, eps_move=1e-13, t_max=1.0)
     assert not res.converged
     assert res.graphon is not None
+    # the residual is the velocity 2 (1 - W) at the state reached, W = 1 - e^-2
+    assert res.t_reached == 1.0
+    assert res.velocity_residual == pytest.approx(2 * math.exp(-2), abs=1e-9)
+    with pytest.raises(ValueError, match="t_max"):
+        find_destination(ER, constant(0.0), t_max=float("nan"))
 
 
 def test_constant_fixed_points():
