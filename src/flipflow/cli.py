@@ -175,14 +175,22 @@ def _build_init(cfg: ExperimentConfig) -> StepGraphon:
     spec = cfg.init
     head, _, rest = spec.partition(":")
     if head == "const":
-        return constant(float(rest))
+        return constant(*_numbers("--init", spec, rest, "const:density"))
     if head == "two-block":
-        vals = [float(x) for x in rest.split(",")]
-        if len(vals) != 5:
-            raise ConfigError([f"two-block init needs mass1,mass2,x1,x2,y (got {spec!r})"])
-        m1, m2, x1, x2, y = vals
+        m1, m2, x1, x2, y = _numbers("--init", spec, rest, "two-block:mass1,mass2,x1,x2,y")
         return two_block((m1, m2), x1, x2, y)
     raise ConfigError([f"unknown init spec {spec!r}"])
+
+
+def _numbers(flag: str, spec: str, text: str, form: str) -> list[float]:
+    """The comma-separated numbers `text` in the `flag` value `spec`, shaped as `form`."""
+    try:
+        numbers = [float(x) for x in text.split(",")]
+    except ValueError:
+        numbers = []
+    if len(numbers) != form.count(",") + 1:
+        raise ConfigError([f"{flag} {spec!r} must have the form {form}"])
+    return numbers
 
 
 def _cell_labels(m: int) -> list[str]:
@@ -262,8 +270,8 @@ def _cmd_velocity_field(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_periodic_demo(cfg: ExperimentConfig) -> int:
-    sx, sy = cfg.start.split(",")
-    trace = planar_demo((float(sx), float(sy)), cfg.t_end, opts=cfg.integrator_options())
+    start = _numbers("--start", cfg.start, cfg.start, "x,y")
+    trace = planar_demo(start, cfg.t_end, opts=cfg.integrator_options())
     rows = [[t, p[0], p[1]] for t, p in zip(trace.times, trace.points)]
     write_csv(cfg.out, ["t", "x", "y"], rows)
     return 0

@@ -29,7 +29,7 @@ class NonStochasticRowError(FlipflowError, ValueError):
 
 
 class NonFiniteValueError(FlipflowError, ValueError):
-    """A part mass or step-function value is NaN or infinite."""
+    """A part mass, step-function value, time or tolerance is NaN or infinite."""
 
 
 class MassMismatchError(FlipflowError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationFaultError
+from .errors import IntegrationFaultError, NonFiniteValueError
 
 # Dormand-Prince 5(4) tableau; the propagated solution is 5th order and
 # the embedded 4th-order difference provides the local error estimate.
@@ -58,6 +58,8 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not np.isfinite([self.rtol, self.atol, self.step or 0.0]).all():
+            raise NonFiniteValueError(f"rtol={self.rtol}, atol={self.atol}, step={self.step}: each must be finite")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
         if not 0 <= self.band_tol < 1e-6:

@@ -6,7 +6,8 @@ by H.  Rows are stored sparsely as sorted (H index, probability) lists.
 Sampling uses the inverse CDF in ascending H-index order: the replacement
 is the first H whose cumulative probability exceeds the uniform variate
 u (bisect_right), which fixes the exact mapping from u to a replacement
-graph and keeps simulations bit-reproducible.
+graph and keeps simulations bit-reproducible.  Every sampler bisects
+the same flat table of all rows, `Rule.replacement_table()`.
 
 The module also provides the derived tables used by the velocity
 operator: signed pair coefficients and the expected edge-change sequence
@@ -16,12 +17,12 @@ over drawn-edge-count classes.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 
 import numpy as np
 
-from .errors import NonFiniteValueError, NonStochasticRowError, UnsupportedOrderError
+from .errors import ConfigError, NonFiniteValueError, NonStochasticRowError, UnsupportedOrderError
 from .graphs import LabeledGraph, check_order, complement, component_closure
 
 PROB_TOL = 1e-12  # absolute tolerance on probabilities and row sums
@@ -46,56 +47,52 @@ class Rule:
         # shared; each entry keeps its row alive, so ids stay unique
         normalised = {}
         self.rows = []
-        for row in rows:
+        for f, row in enumerate(rows):
             if id(row) not in normalised:
                 normalised[id(row)] = (row, sorted((int(h), float(p)) for h, p in row))
             self.rows.append(normalised[id(row)][1])
-        self._cdfs = None
-        self._padded = None
+            if not self.rows[f]:
+                raise NonStochasticRowError(f, 1.0, "empty row")
+        self._table = None
         self._pair_coeffs = None
         self._deltas = None
 
     @classmethod
     def from_row_map(cls, k: int, row_map: dict) -> "Rule":
         """Build from {F index: [(H index, prob), ...]}; missing rows idle."""
-        n = 1 << comb(k, 2)
-        rows = []
-        for f in range(n):
-            rows.append(row_map.get(f, [(f, 1.0)]))
-        return cls(k, rows)
+        return cls(k, [row_map.get(f, [(f, 1.0)]) for f in range(1 << comb(k, 2))])
 
-    def row_cdf(self, f: int):
-        """(support, cdf) arrays for row f, in ascending H-index order."""
-        if self._cdfs is None:
-            self._cdfs = [None] * self.num_graphs
-        if self._cdfs[f] is None:
-            support = np.array([h for h, _ in self.rows[f]], dtype=np.int64)
-            cdf = np.cumsum([p for _, p in self.rows[f]])
-            self._cdfs[f] = (support, cdf)
-        return self._cdfs[f]
+    def replacement_table(self):
+        """Read-only arrays (targets, cdf, starts) holding every row in order.
+
+        Row f fills slots starts[f] to starts[f + 1] - 1: its H indices,
+        ascending, with their cumulative probabilities, then a sentinel
+        slot repeating the last H, which `bisect_right(cdf, u, starts[f],
+        starts[f + 1] - 1)` reaches when rounding leaves the row short of u.
+        """
+        if self._table is None:
+            targets, cdf, starts = [], [], [0]
+            for row in self.rows:
+                targets += [h for h, _ in row]
+                targets.append(targets[-1])
+                cdf += accumulate(p for _, p in row)
+                cdf.append(cdf[-1])
+                starts.append(len(cdf))
+            self._table = tuple(np.array(a) for a in (targets, cdf, starts))
+            for a in self._table:
+                a.flags.writeable = False
+        return self._table
 
     def sample_replacements(self, drawn: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Replacement indices for drawn graphs `drawn` and uniform variates `u`.
-
-        Vectorised `row_cdf` lookup with the simulator's tie rule: the
-        position is the count of CDF entries <= u (bisect_right), clipped
-        to the last support entry when rounding leaves the CDF short of u.
-        """
-        if self._padded is None:
-            # rows padded to one width: supports repeat their last entry,
-            # CDFs a sentinel above any uniform variate
-            width = max(len(row) for row in self.rows)
-            support = np.empty((self.num_graphs, width), dtype=np.int64)
-            cdf = np.full((self.num_graphs, width), 2.0)
-            for f in range(self.num_graphs):
-                sup, c = self.row_cdf(f)
-                support[f, : len(sup)] = sup
-                support[f, len(sup) :] = sup[-1]
-                cdf[f, : len(c)] = c
-            self._padded = (support, cdf)
-        support, cdf = self._padded
-        pos = (cdf[drawn] <= u[:, None]).sum(axis=1)
-        return support[drawn, np.minimum(pos, support.shape[1] - 1)]
+        """Replacement indices for drawn graphs `drawn` and uniform variates `u`:
+        the simulator's `bisect_right` on each drawn row, run on all at once."""
+        targets, cdf, starts = self.replacement_table()
+        lo, hi = starts[drawn], starts[drawn + 1] - 1
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            left = u < cdf[mid]
+            lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
+        return targets[lo]
 
     def row_matrix(self) -> np.ndarray:
         """Dense R as a (num_graphs, num_graphs) array.  k <= 5 only."""
@@ -364,11 +361,15 @@ def save_rule(rule: Rule, path) -> None:
 def load_rule(path) -> Rule:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    k = int(payload["k"])
+    try:
+        k = int(payload["k"])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError([f"rule file {path} needs an integer 'k'"]) from None
     check_order(k)
-    row_map = {}
-    for f, entries in payload["rows"]:
-        row_map[int(f)] = [(int(h), float(p)) for h, p in entries]
+    try:
+        row_map = {int(f): [(int(h), float(p)) for h, p in entries] for f, entries in payload["rows"]}
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError([f"rule file {path} needs 'rows' listing [F, [[H, p], ...]] entries"]) from None
     rule = Rule.from_row_map(k, row_map)
     validate(rule)
     return rule

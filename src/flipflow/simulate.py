@@ -3,8 +3,9 @@
 Each step samples an ordered tuple of k distinct vertices by partial
 Fisher-Yates over a persistent index array (uniform over ordered tuples,
 O(k) per step), reads the induced pattern from a dense n x n byte
-adjacency, samples the replacement by inverse CDF on the rule row, and
-rewrites only the pairs inside the tuple.  Ordered block edge counts
+adjacency, takes a one-entry row's replacement directly or bisects the
+row's segment of `Rule.replacement_table()` with one uniform variate,
+and rewrites only the pairs inside the tuple.  Ordered block edge counts
 (`stepfun.block_counts`) seed counters that each step keeps up to date,
 so checkpoint summaries cost O(parts^2), not O(n^2).
 
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import comb, floor
+from math import comb, floor, isfinite
 
 import numpy as np
 
+from .errors import NonFiniteValueError
 from .graphs import pair_list
 from .integrators import IntegratorOptions
 from .rules import Rule
@@ -64,37 +66,20 @@ class ProcessState:
         self.num_parts = graph.num_parts
         self.step_count = 0
         self.last_tuple: tuple = ()
-        self.last_drawn = -1
-        self.last_replacement = -1
 
         m = self.num_parts
         self.part_sizes = np.bincount(self.part_of, minlength=m)
         self.block_counts = block_counts(self.adj, self.part_of, m).astype(np.int64).tolist()
         self.edge_total = graph.edge_count()
 
-        k = rule.k
-        # single_target[f] is the replacement when row f is deterministic,
-        # else -1 and the row CDF is consulted with a uniform variate
-        self.single_target = []
-        self.row_supports = []
-        self.row_cdfs = []
-        for f in range(rule.num_graphs):
-            row = rule.rows[f]
-            if len(row) == 1:
-                self.single_target.append(row[0][0])
-                self.row_supports.append(None)
-                self.row_cdfs.append(None)
-            else:
-                support, cdf = rule.row_cdf(f)
-                self.single_target.append(-1)
-                self.row_supports.append([int(h) for h in support])
-                self.row_cdfs.append([float(c) for c in cdf])
-        self._stochastic = any(t < 0 for t in self.single_target)
+        # a one-entry row draws no uniform variate: single_target is its H, else -1
+        self.single_target = [row[0][0] if len(row) == 1 else -1 for row in rule.rows]
+        self._table = [a.tolist() for a in rule.replacement_table()]
 
         self._perm = list(range(self.n))
         self._tuple_rng = substream(seed, "tuples")
         self._replace_rng = substream(seed, "replace")
-        self._tuple_blocks = [[] for _ in range(k)]
+        self._tuple_blocks = [[] for _ in range(rule.k)]
         self._tuple_ptr = _BLOCK  # force refill on first use
         self._uniform_block = np.empty(0)
         self._uniform_ptr = 0
@@ -133,8 +118,7 @@ class ProcessState:
         pair_bits = tuple((a, b, 1 << p) for p, (a, b) in enumerate(pairs))
         k = self.rule.k
         single = self.single_target
-        supports = self.row_supports
-        cdfs = self.row_cdfs
+        targets, cdf, starts = self._table
         edges = self.edge_total
         done = 0
         while done < count:
@@ -155,13 +139,7 @@ class ProcessState:
                 target = single[drawn]
                 if target < 0:
                     u = self._next_uniform()
-                    pos = bisect_right(cdfs[drawn], u)
-                    support = supports[drawn]
-                    if pos >= len(support):
-                        pos = len(support) - 1
-                    target = support[pos]
-                self.last_drawn = drawn
-                self.last_replacement = target
+                    target = targets[bisect_right(cdf, u, starts[drawn], starts[drawn + 1] - 1)]
                 diff = drawn ^ target
                 while diff:
                     low = diff & -diff
@@ -342,6 +320,8 @@ def transference_experiment(
     """
     if n < 100:
         raise ValueError("transference experiments need n >= 100")
+    if not isfinite(t_end):
+        raise NonFiniteValueError(f"t_end must be finite, got {t_end}")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     times = [t_end * (idx + 1) / checkpoint_count for idx in range(checkpoint_count)]

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .errors import GuardExceededError, MassMismatchError, NonFiniteValueError
+from .errors import ConfigError, GuardExceededError, MassMismatchError, NonFiniteValueError
 from .graphs import LabeledGraph, pair_list
 
 MASS_TOL = 1e-12
@@ -421,11 +421,16 @@ def save_graphon(w: StepKernel, path) -> None:
         fh.write("\n")
 
 
-def load_graphon(path, kernel: bool = False) -> StepKernel:
+def load_graphon(path) -> StepGraphon:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    cls = StepKernel if kernel else StepGraphon
-    return cls(np.asarray(payload["masses"]), np.asarray(payload["values"]))
+    arrays = []
+    for key in ("masses", "values"):
+        try:
+            arrays.append(np.asarray(payload[key], dtype=float))
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError([f"graphon file {path} needs numeric {key!r}"]) from None
+    return StepGraphon(*arrays)
 
 
 def save_sim_graph(graph: SimGraph, path) -> None:

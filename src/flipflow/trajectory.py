@@ -11,11 +11,11 @@ leave the space; the age routine detects the first boundary crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
-from .errors import IntegrationFaultError
+from .errors import IntegrationFaultError, NonFiniteValueError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
 from .stepfun import StepGraphon, cut_norm_exact, kernel_sub, linf_dist
@@ -75,6 +75,8 @@ def flow_at(
     returned object then fails construction and the caller should use
     `backward_age` instead).
     """
+    if not isfinite(t):
+        raise NonFiniteValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return w0
     stats = StepStats()
@@ -93,6 +95,8 @@ def integrate(
     opts: IntegratorOptions = DEFAULT_OPTS,
 ) -> Trajectory:
     """Integrate forward to t_end, recording the flow at checkpoint times."""
+    if not isfinite(t_end):
+        raise NonFiniteValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0:
         raise ValueError("integrate records forward trajectories; use flow_at for t < 0")
     if checkpoint_times is None:

@@ -250,3 +250,53 @@ def test_config_values_are_checked_against_declared_types(tmp_path, capsys):
     path.write_text(json.dumps(good))
     assert run_cli(["trajectory", "--config", str(path)]) == 0
     assert read_csv(out)[1][-1, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["periodic-demo", "--start", "0.1,0.2,0.3", "--t-end", "1"],
+         "--start '0.1,0.2,0.3' must have the form x,y"),
+        (["trajectory", "--rule", "er", "--init", "two-block:a,b", "--t-end", "1"],
+         "--init 'two-block:a,b' must have the form two-block:mass1,mass2,x1,x2,y"),
+        (["trajectory", "--rule", "er", "--init", "const:abc", "--t-end", "1"],
+         "--init 'const:abc' must have the form const:density"),
+    ],
+)
+def test_spec_strings_are_named_in_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text, key",
+    [
+        ("--init-file", "{}", "'masses'"),
+        ("--init-file", "[1, 2]", "'masses'"),
+        ("--init-file", '{"masses": [1.0], "values": [[0.5], [0.5, 0.5]]}', "'values'"),
+        ("--rule-file", '{"k": 2}', "'rows'"),
+        ("--rule-file", '{"k": [2], "rows": []}', "'k'"),
+        ("--rule-file", '{"k": 2, "rows": [[0]]}', "'rows'"),
+    ],
+)
+def test_malformed_rule_and_graphon_files_are_named(tmp_path, capsys, flag, text, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    given = {"--init-file": ["--rule", "er"], "--rule-file": ["--init", "const:0.5"]}[flag]
+    args = ["trajectory", flag, str(bad), *given, "--t-end", "0.1", "--out", str(tmp_path / "o.csv")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--t-end", "nan"], ["--t-end", "1", "--atol", "inf"], ["--t-end", "1", "--rtol", "nan"]]
+)
+def test_non_finite_integration_inputs_are_errors(tmp_path, capsys, extra):
+    out = tmp_path / "o.csv"
+    args = ["trajectory", "--rule", "er", "--init", "const:0.2", "--out", str(out)] + extra
+    assert run_cli(args) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import itertools
 from bisect import bisect_right
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -177,21 +178,52 @@ def test_ignorant_rule_rejects_non_finite_distribution(bad):
 
 def test_vectorised_sampler_matches_bisect_right(rng):
     tie = Rule(2, [[(0, 0.5), (1, 0.5)], [(1, 1.0)]])
-    rules = [builder() for builder in BUILTIN_RULES.values()] + [random_rule(rng, 3), tie]
+    short = Rule(3, [[(0, 0.25), (5, 0.25), (6, 0.4999999999995)]] + [[(7, 1.0)]] * 7)
+    assert abs(sum(p for _, p in short.rows[0]) - (1 - 5e-13)) < 1e-16
+    rules = [builder() for builder in BUILTIN_RULES.values()] + [random_rule(rng, 3), tie, short]
     for rule in rules:
         drawn, u = [], []
-        for f in range(rule.num_graphs):
-            _, cdf = rule.row_cdf(f)
-            # random variates plus every CDF value exactly (the tie cases)
-            draws = np.concatenate([rng.random(8), cdf, [0.0]])
+        for f, row in enumerate(rule.rows):
+            cdf = list(accumulate(p for _, p in row))
+            # random variates, every CDF value exactly (the tie cases) and
+            # the largest variate below 1
+            draws = np.concatenate([rng.random(8), cdf, [0.0, np.nextafter(1, 0)]])
             drawn += [f] * len(draws)
             u += draws.tolist()
         got = rule.sample_replacements(np.array(drawn), np.array(u))
         for f, x, h in zip(drawn, u, got):
-            support, cdf = rule.row_cdf(f)
-            assert h == support[min(bisect_right(cdf.tolist(), x), len(support) - 1)]
+            row = rule.rows[f]
+            cdf = list(accumulate(p for _, p in row))
+            assert h == row[min(bisect_right(cdf, x), len(row) - 1)][0]
     # a tie at u = 0.5 moves past the first half of the row, as in the simulator
     assert tie.sample_replacements(np.array([0]), np.array([0.5])).tolist() == [1]
+    # a variate above a row total that rounding left short of 1 draws the last H
+    assert short.sample_replacements(np.array([0]), np.array([np.nextafter(1, 0)])).tolist() == [6]
+
+
+def test_replacement_table_grows_with_the_rows():
+    # order 6: drawn graph 0 is replaced by a uniform random graph, every
+    # other row idles; a table padded to the longest row would need
+    # 2**15 x 2**15 slots (17 GB)
+    n = 1 << 15
+    rule = Rule.from_row_map(6, {0: [(h, 1.0 / n) for h in range(n)]})
+    targets, cdf, starts = rule.replacement_table()
+    size = sum(len(row) + 1 for row in rule.rows)
+    assert size == (n + 1) + 2 * (n - 1)
+    assert len(targets) == len(cdf) == starts[-1] == size
+    assert len(starts) == n + 1
+    got = rule.sample_replacements(np.array([0, 0, 0, 9]), np.array([0.0, 0.5, np.nextafter(1, 0), 0.7]))
+    assert got.tolist() == [0, n // 2, n - 1, 9]
+
+
+def test_rule_rejects_an_empty_row(tmp_path):
+    with pytest.raises(NonStochasticRowError, match="empty row") as err:
+        Rule(2, [[], [(1, 1.0)]])
+    assert err.value.row == 0
+    path = tmp_path / "rule.json"
+    path.write_text('{"k": 2, "rows": [[1, []]]}')
+    with pytest.raises(NonStochasticRowError, match="empty row"):
+        load_rule(path)
 
 
 def test_pair_coefficient_signs_and_trivial():

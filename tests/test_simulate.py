@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flipflow import (
+    NonFiniteValueError,
     ProcessState,
     Rule,
     SimGraph,
@@ -30,6 +31,7 @@ from conftest import brute_block_average
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
+EXT3 = extremist_rule(3)
 
 
 def identity_rule(k):
@@ -84,7 +86,7 @@ def test_run_is_deterministic():
 
 def test_locality_of_single_steps():
     g = sample_graph(30, constant(0.5), substream(6, "init"))
-    state = ProcessState(extremist_rule(3), g, seed=2)
+    state = ProcessState(EXT3, g, seed=2)
     for _ in range(200):
         before = state.snapshot()
         state.step()
@@ -99,8 +101,9 @@ def test_locality_of_single_steps():
         assert len(changed) <= comb(3, 2)
         for u, v in changed:
             assert u in tup and v in tup
-        # the recorded drawn pattern matches the pre-step graph
-        assert induced_pattern(before, state.last_tuple).edges == state.last_drawn
+        # the tuple's new pattern is the rule's target for its old one
+        drawn = induced_pattern(before, state.last_tuple).edges
+        assert induced_pattern(after, state.last_tuple).edges == EXT3.rows[drawn][0][0]
 
 
 def test_monotone_rules_move_edge_counts_one_way():
@@ -206,6 +209,23 @@ def test_transference_validations():
         transference_experiment(ER, constant(0.0), n=50, t_end=0.5)
     with pytest.raises(ValueError):
         transference_experiment(ER, constant(0.0), n=200, t_end=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteValueError):
+            transference_experiment(ER, constant(0.0), n=200, t_end=bad)
+
+
+def test_simulator_draws_as_the_vectorised_sampler():
+    # both rows draw a variate; row 0 sums to 0.6, so a variate of at least
+    # 0.6 falls past its CDF to its last H
+    rule = Rule(2, [[(0, 0.3), (1, 0.3)], [(0, 0.5), (1, 0.5)]])
+    state = ProcessState(rule, SimGraph(2), seed=4)
+    variates = substream(4, "replace").random(400)
+    assert (variates >= 0.6).any()
+    edge = 0
+    for u in variates:
+        edge = int(rule.sample_replacements(np.array([edge]), np.array([u]))[0])
+        state.step()
+        assert state.adj[0, 1] == edge
 
 
 def test_process_needs_enough_vertices():

@@ -1,10 +1,12 @@
 import itertools
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
 from flipflow import (
+    ConfigError,
     GuardExceededError,
     LabeledGraph,
     MassMismatchError,
@@ -331,6 +333,10 @@ def test_graphon_file_round_trip(tmp_path):
     bad.write_text('{"masses": [0.5, 0.5], "values": [[2.0, 0.1], [0.1, 0.2]]}')
     with pytest.raises(ValueError):
         load_graphon(bad)
+    for text, key in (("{}", "masses"), ("[1, 2]", "masses"), ('{"masses": [1.0], "values": "x"}', "values")):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(bad))}.*'{key}'"):
+            load_graphon(bad)
 
 
 def test_sim_graph_file_round_trip(tmp_path):

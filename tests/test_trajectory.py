@@ -7,6 +7,7 @@ from flipflow import (
     BUILTIN_RULES,
     IntegrationFaultError,
     IntegratorOptions,
+    NonFiniteValueError,
     StepGraphon,
     VelocityPlan,
     backward_age,
@@ -88,6 +89,22 @@ def test_band_is_asserted_not_clamped():
         IntegratorOptions(rtol=-1.0)
     with pytest.raises(ValueError):
         IntegratorOptions(method="rk4_fixed")  # missing step
+
+
+@pytest.mark.parametrize(
+    "bad", [{"rtol": math.nan}, {"atol": math.inf}, {"method": "rk4_fixed", "step": math.inf}]
+)
+def test_integrator_options_reject_non_finite_values(bad):
+    with pytest.raises(NonFiniteValueError):
+        IntegratorOptions(**bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_and_flow_at_reject_non_finite_times(bad):
+    with pytest.raises(NonFiniteValueError):
+        integrate(ER, constant(0.2), bad)
+    with pytest.raises(NonFiniteValueError):
+        flow_at(ER, constant(0.2), bad)
 
 
 def test_rhs_rejects_states_outside_the_band_and_nan():
