@@ -19,14 +19,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from math import floor
+from math import floor, isfinite
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .csvio import TRANSFERENCE_HEADER, write_csv, write_transference_csv
 from .csvio import read_csv  # noqa: F401  (every CLI CSV parses with cli.read_csv)
-from .errors import ConfigError, FlipflowError
+from .errors import ConfigError, FlipflowError, NonFiniteValueError
 from .integrators import METHODS, IntegratorOptions
 from .rules import Rule, load_rule, make_rule, validate
 from .simulate import run, transference_experiment
@@ -210,6 +210,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     rule = _build_rule(cfg)
     w0 = _build_init(cfg)
     n = cfg.n
+    if cfg.steps is None and not isfinite(cfg.t_end):
+        raise NonFiniteValueError(f"t_end must be finite, got {cfg.t_end}")
     total = cfg.steps if cfg.steps is not None else floor(cfg.t_end * n * n)
     marks = [round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)] if cfg.checkpoints > 1 else [total]
     graph0 = sample_graph(n, w0, substream(cfg.seed, "init"))

@@ -59,8 +59,15 @@ class Rule:
 
     @classmethod
     def from_row_map(cls, k: int, row_map: dict) -> "Rule":
-        """Build from {F index: [(H index, prob), ...]}; missing rows idle."""
-        return cls(k, [row_map.get(f, [(f, 1.0)]) for f in range(1 << comb(k, 2))])
+        """Build from {F index: [(H index, prob), ...]}; missing rows idle.
+
+        A key outside [0, 2**C(k,2)) raises NonStochasticRowError.
+        """
+        num_graphs = 1 << comb(k, 2)
+        for f in row_map:
+            if not 0 <= f < num_graphs:
+                raise NonStochasticRowError(f, 0.0, f"F index {f} outside [0, {num_graphs})")
+        return cls(k, [row_map.get(f, [(f, 1.0)]) for f in range(num_graphs)])
 
     def replacement_table(self):
         """Read-only arrays (targets, cdf, starts) holding every row in order.
@@ -79,16 +86,19 @@ class Rule:
                 cdf.append(cdf[-1])
                 starts.append(len(cdf))
             self._table = tuple(np.array(a) for a in (targets, cdf, starts))
+            self._bisect_rounds = max(map(len, self.rows)).bit_length()
             for a in self._table:
                 a.flags.writeable = False
         return self._table
 
     def sample_replacements(self, drawn: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Replacement indices for drawn graphs `drawn` and uniform variates `u`:
-        the simulator's `bisect_right` on each drawn row, run on all at once."""
+        `bisect_right(cdf, u, starts[f], starts[f + 1] - 1)` on each drawn
+        row f of `replacement_table()`, run on all at once."""
         targets, cdf, starts = self.replacement_table()
         lo, hi = starts[drawn], starts[drawn + 1] - 1
-        while (lo < hi).any():
+        # hi - lo is at most the longest row's length, and halves each round
+        for _ in range(self._bisect_rounds):
             mid = (lo + hi) // 2
             left = u < cdf[mid]
             lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
@@ -370,7 +380,12 @@ def load_rule(path) -> Rule:
         row_map = {int(f): [(int(h), float(p)) for h, p in entries] for f, entries in payload["rows"]}
     except (KeyError, TypeError, ValueError):
         raise ConfigError([f"rule file {path} needs 'rows' listing [F, [[H, p], ...]] entries"]) from None
-    rule = Rule.from_row_map(k, row_map)
+    try:
+        rule = Rule.from_row_map(k, row_map)
+    except NonStochasticRowError as exc:
+        if exc.row in range(1 << comb(k, 2)):
+            raise
+        raise ConfigError([f"rule file {path}: {exc}"]) from None
     validate(rule)
     return rule
 

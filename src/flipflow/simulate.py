@@ -1,13 +1,19 @@
 """Exact discrete-time simulation of flip processes.
 
-Each step samples an ordered tuple of k distinct vertices by partial
-Fisher-Yates over a persistent index array (uniform over ordered tuples,
-O(k) per step), reads the induced pattern from a dense n x n byte
-adjacency, takes a one-entry row's replacement directly or bisects the
-row's segment of `Rule.replacement_table()` with one uniform variate,
-and rewrites only the pairs inside the tuple.  Ordered block edge counts
-(`stepfun.block_counts`) seed counters that each step keeps up to date,
-so checkpoint summaries cost O(parts^2), not O(n^2).
+Steps are drawn and applied in blocks of `_BLOCK`.  A block draws, for
+each step, an ordered tuple of k distinct vertices (column s is uniform
+on the n - s vertices not yet picked; `_distinct_tuples`) and one
+uniform variate for the replacement.  Steps whose tuples share no vertex
+pair commute, so the block is applied in wavefronts: a step's level is 1
+plus the largest level of the earlier steps that wrote one of its pairs,
+and each level reads its patterns from a dense n x n byte adjacency,
+bisects `Rule.replacement_table()` (`Rule.sample_replacements`) and
+writes the new pairs back, all steps at once.  Every pair then sees its
+reads and writes in step order, so the result is exactly that of
+stepping one at a time, and the output depends only on the seed, never
+on how the steps are split across `step_many` calls.  Ordered block edge
+counts (`stepfun.block_counts`) seed counters that each call keeps up to
+date, so checkpoint summaries cost O(parts^2), not O(n^2).
 
 Randomness comes from named substreams of a counter-based generator
 keyed by (seed, purpose), so runs are bit-reproducible across platforms
@@ -16,7 +22,6 @@ regardless of how many draws each purpose consumes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb, floor, isfinite
 
@@ -41,16 +46,35 @@ from .streams import substream
 from .trajectory import DEFAULT_OPTS, integrate
 from .velocity import velocity
 
-_BLOCK = 1 << 15  # random numbers drawn per refill
+_BLOCK = 1 << 13  # flip steps drawn and scheduled together
+
+
+def _distinct_tuples(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
+    """`size` ordered k-tuples of distinct vertices of [0, n), each uniform.
+
+    Column s draws integers(0, n - s) and skips the earlier picks in
+    ascending order, so every tuple costs exactly k integers.
+    """
+    out = np.empty((size, k), dtype=np.int64)
+    picked = []  # the earlier picks, ascending along every row
+    for s in range(k):
+        v = rng.integers(0, n - s, size=size)
+        for pick in picked:
+            v += v >= pick
+        out[:, s] = v
+        for c, pick in enumerate(picked):
+            picked[c], v = np.minimum(pick, v), np.maximum(pick, v)
+        picked.append(v)
+    return out
 
 
 class ProcessState:
     """Mutable simulation state confined to one worker.
 
-    The step loop reads and writes a flat bytearray copy of the start
-    graph's adjacency (entry u * n + v); `adj` is a read-only n x n view
-    of the same buffer.  `block_counts[i][j]` counts the ordered vertex
-    pairs (u, v) with u in part i, v in part j and uv an edge.
+    Steps write a flat uint8 copy of the start graph's adjacency (entry
+    u * n + v); `adj` is a read-only n x n view of it.
+    `block_counts[i][j]` counts the ordered vertex pairs (u, v) with u in
+    part i, v in part j and uv an edge.
     """
 
     def __init__(self, rule: Rule, graph: SimGraph, seed: int):
@@ -59,8 +83,8 @@ class ProcessState:
         self.rule = rule
         self.seed = seed
         self.n = graph.n
-        self._flat = bytearray(graph.adj.tobytes())
-        self.adj = np.frombuffer(self._flat, dtype=np.uint8).reshape(self.n, self.n)
+        self._flat = graph.adj.ravel().copy()
+        self.adj = self._flat.reshape(self.n, self.n)
         self.adj.flags.writeable = False
         self.part_of = list(graph.part_of)
         self.num_parts = graph.num_parts
@@ -72,97 +96,89 @@ class ProcessState:
         self.block_counts = block_counts(self.adj, self.part_of, m).astype(np.int64).tolist()
         self.edge_total = graph.edge_count()
 
-        # a one-entry row draws no uniform variate: single_target is its H, else -1
-        self.single_target = [row[0][0] if len(row) == 1 else -1 for row in rule.rows]
-        self._table = [a.tolist() for a in rule.replacement_table()]
-
-        self._perm = list(range(self.n))
+        self._part = np.array(self.part_of)
+        a, b = np.array(pair_list(rule.k)).T
+        # tuple columns of both entries (u, v) and (v, u) of every pair
+        self._ends = np.concatenate((a, b)), np.concatenate((b, a))
+        self._weights = 1 << np.arange(len(a))
+        # row h: the pair bits of graph h, twice
+        self._bits = np.tile(np.arange(rule.num_graphs)[:, None] & self._weights != 0, 2).astype(np.uint8)
         self._tuple_rng = substream(seed, "tuples")
         self._replace_rng = substream(seed, "replace")
-        self._tuple_blocks = [[] for _ in range(rule.k)]
-        self._tuple_ptr = _BLOCK  # force refill on first use
-        self._uniform_block = np.empty(0)
-        self._uniform_ptr = 0
-
-    # -- randomness ---------------------------------------------------
-
-    def _refill_tuples(self):
-        n, k = self.n, self.rule.k
-        self._tuple_blocks = [
-            self._tuple_rng.integers(0, n - s, size=_BLOCK).tolist() for s in range(k)
-        ]
-        self._tuple_ptr = 0
-
-    def _next_uniform(self) -> float:
-        if self._uniform_ptr >= len(self._uniform_block):
-            self._uniform_block = self._replace_rng.random(_BLOCK)
-            self._uniform_ptr = 0
-        u = self._uniform_block[self._uniform_ptr]
-        self._uniform_ptr += 1
-        return float(u)
-
-    # -- stepping -----------------------------------------------------
+        self._tuples = np.empty((0, rule.k), dtype=np.int64)
+        self._uniforms = np.empty(0)
+        self._ptr = 0  # next unused step of the drawn block
 
     def step(self) -> None:
         """Advance the process by one flip."""
         self.step_many(1)
 
     def step_many(self, count: int) -> None:
-        """Advance by `count` flips (the hot loop, kept allocation-free)."""
-        flat = self._flat
-        n = self.n
-        part_of = self.part_of
-        counts = self.block_counts
-        perm = self._perm
-        pairs = pair_list(self.rule.k)
-        pair_bits = tuple((a, b, 1 << p) for p, (a, b) in enumerate(pairs))
-        k = self.rule.k
-        single = self.single_target
-        targets, cdf, starts = self._table
-        edges = self.edge_total
+        """Advance by `count` flips, drawing a new block when one runs out."""
         done = 0
         while done < count:
-            if self._tuple_ptr >= _BLOCK:
-                self._refill_tuples()
-            blocks = self._tuple_blocks
-            ptr = self._tuple_ptr
-            budget = min(count - done, _BLOCK - ptr)
-            for _ in range(budget):
-                for s in range(k):
-                    j = s + blocks[s][ptr]
-                    perm[s], perm[j] = perm[j], perm[s]
-                ptr += 1
-                drawn = 0
-                for a, b, bit in pair_bits:
-                    if flat[perm[a] * n + perm[b]]:
-                        drawn |= bit
-                target = single[drawn]
-                if target < 0:
-                    u = self._next_uniform()
-                    target = targets[bisect_right(cdf, u, starts[drawn], starts[drawn + 1] - 1)]
-                diff = drawn ^ target
-                while diff:
-                    low = diff & -diff
-                    p = low.bit_length() - 1
-                    diff ^= low
-                    a, b = pairs[p]
-                    u_v, v_v = perm[a], perm[b]
-                    i, j = part_of[u_v], part_of[v_v]
-                    if target >> p & 1:
-                        flat[u_v * n + v_v] = flat[v_v * n + u_v] = 1
-                        counts[i][j] += 1
-                        counts[j][i] += 1
-                        edges += 1
-                    else:
-                        flat[u_v * n + v_v] = flat[v_v * n + u_v] = 0
-                        counts[i][j] -= 1
-                        counts[j][i] -= 1
-                        edges -= 1
-            self.edge_total = edges
-            self.last_tuple = tuple(perm[:k])
-            self._tuple_ptr = ptr
-            self.step_count += budget
-            done += budget
+            if self._ptr == len(self._uniforms):
+                self._tuples = _distinct_tuples(self._tuple_rng, self.n, self.rule.k, _BLOCK)
+                self._uniforms = self._replace_rng.random(_BLOCK)
+                self._ptr = 0
+            end = min(self._ptr + count - done, _BLOCK)
+            self._apply(self._tuples[self._ptr : end], self._uniforms[self._ptr : end])
+            self.last_tuple = tuple(self._tuples[end - 1].tolist())
+            done += end - self._ptr
+            self._ptr = end
+        self.step_count += done
+
+    def _apply(self, tuples: np.ndarray, uniforms: np.ndarray) -> None:
+        """Apply consecutive steps level by level, as if one at a time."""
+        n, flat, npairs = self.n, self._flat, len(self._weights)
+        steps = len(tuples)
+        # flat adjacency positions, (u, v) of every pair and then (v, u)
+        at = tuples[:, self._ends[0]] * n + tuples[:, self._ends[1]]
+
+        # sort (pair, slot) keys, slot = step * npairs + p: equal
+        # neighbouring pairs are the dependency edges, from each writer of
+        # a pair to its next writer
+        shift = (steps * npairs).bit_length()
+        key = np.minimum(at[:, :npairs], at[:, npairs:]).ravel() << shift
+        key |= np.arange(key.size)
+        key.sort()
+        pair = key >> shift
+        slot = key & ((1 << shift) - 1)
+        del key
+        same = pair[1:] == pair[:-1]
+        later = slot[1:][same] // npairs
+        succ = np.full(steps * npairs, steps)
+        succ[slot[:-1][same]] = later
+        succ = succ.reshape(steps, npairs)
+        waiting = np.bincount(later, minlength=steps)
+        touched = np.concatenate((pair[:1], pair[1:][~same]))
+        before = flat[touched]
+        del pair, slot, same, later
+
+        # a level holds the steps whose earlier writers have all been applied
+        level = np.flatnonzero(waiting == 0)
+        while level.size:
+            pos = at[level]
+            drawn = flat[pos[:, :npairs]] @ self._weights
+            flat[pos] = self._bits[self.rule.sample_replacements(drawn, uniforms[level])]
+            nxt = succ[level].ravel()
+            nxt = nxt[nxt < steps]
+            np.subtract.at(waiting, nxt, 1)
+            # a flip that shares two pairs with this level is twice in nxt
+            ready = np.zeros(steps, dtype=bool)
+            ready[nxt[waiting[nxt] == 0]] = True
+            level = ready.nonzero()[0]
+
+        delta = flat[touched].astype(np.int64) - before
+        moved = np.flatnonzero(delta)
+        lo, hi = np.divmod(touched[moved], n)
+        m, delta = self.num_parts, delta[moved]
+        i, j = self._part[lo], self._part[hi]
+        counts = np.array(self.block_counts)
+        np.add.at(counts.reshape(-1), i * m + j, delta)
+        np.add.at(counts.reshape(-1), j * m + i, delta)
+        self.block_counts = counts.tolist()
+        self.edge_total += int(delta.sum())
 
     # -- observation ----------------------------------------------------
 
@@ -240,17 +256,7 @@ def one_step_expectation_check(
         raise ValueError(f"parts ({i}, {j}) must both be non-empty")
     adj = graph.adj
 
-    # ordered k-tuples of distinct vertices, by rejection
-    tuples = rng.integers(0, n, size=(samples, k))
-    while True:
-        bad = np.zeros(len(tuples), dtype=bool)
-        for a in range(k):
-            for b in range(a + 1, k):
-                bad |= tuples[:, a] == tuples[:, b]
-        if not bad.any():
-            break
-        tuples[bad] = rng.integers(0, n, size=(int(bad.sum()), k))
-
+    tuples = _distinct_tuples(rng, n, k, samples)
     drawn = np.zeros(samples, dtype=np.int64)
     for p, (a, b) in enumerate(pairs):
         drawn |= adj[tuples[:, a], tuples[:, b]].astype(np.int64) << p

@@ -5,10 +5,12 @@ they check: densities enumerate assignments with itertools, cut norms
 enumerate every subset pair, rooted densities multiply factors in plain
 Python loops, pair coefficients walk every rule entry, the velocity
 sums its definition term by term, and block averages loop over ordered
-vertex pairs.
+vertex pairs.  The sequential stepper replays the simulator's block
+draws one flip at a time, with `bisect_right` on the replacement table.
 """
 
 import itertools
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 
 from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, pair_list
 from flipflow.graphs import pair_position
+from flipflow.simulate import _BLOCK
+from flipflow.streams import substream
 
 
 def random_graphon(rng: np.random.Generator, m: int) -> StepGraphon:
@@ -100,7 +104,7 @@ def random_rule(rng: np.random.Generator, k: int, active: float = 1.0) -> Rule:
         if rng.random() >= active:
             rows.append([(f, 1.0)])
             continue
-        targets = rng.choice(ngraphs, size=int(rng.integers(1, 4)), replace=False)
+        targets = rng.choice(ngraphs, size=int(rng.integers(1, min(3, ngraphs) + 1)), replace=False)
         probs = rng.dirichlet(np.ones(len(targets)))
         rows.append(list(zip(targets.tolist(), probs.tolist())))
     return Rule(k, rows)
@@ -174,6 +178,43 @@ def brute_block_average(adj, labels) -> np.ndarray:
             if adj[u][v]:
                 counts[labels[u]][labels[v]] += 1
     return np.array([[counts[i][j] / (sizes[i] * sizes[j]) for j in range(num)] for i in range(num)])
+
+
+def sequential_steps(rule: Rule, graph, seed: int, steps: int):
+    """The simulator's `steps` flips from `graph`, one at a time.
+
+    Each block of `_BLOCK` steps draws tuple column s from
+    integers(0, n - s) on the "tuples" substream, each value skipping
+    the earlier picks of its tuple in ascending order, and one variate
+    per step from the "replace" substream.  Returns the final adjacency,
+    its ordered block counts and its edge count.
+    """
+    n, k = graph.n, rule.k
+    adj = graph.adj.tolist()
+    tuple_rng, replace_rng = substream(seed, "tuples"), substream(seed, "replace")
+    targets, cdf, starts = (a.tolist() for a in rule.replacement_table())
+    pairs = list(enumerate(pair_list(k)))
+    for step in range(steps):
+        at = step % _BLOCK
+        if at == 0:
+            columns = [tuple_rng.integers(0, n - s, size=_BLOCK).tolist() for s in range(k)]
+            variates = replace_rng.random(_BLOCK).tolist()
+        tup = []
+        for column in columns:
+            x = column[at]
+            for pick in sorted(tup):
+                x += x >= pick
+            tup.append(x)
+        f = sum(adj[tup[a]][tup[b]] << p for p, (a, b) in pairs)
+        h = targets[bisect_right(cdf, variates[at], starts[f], starts[f + 1] - 1)]
+        for p, (a, b) in pairs:
+            adj[tup[a]][tup[b]] = adj[tup[b]][tup[a]] = h >> p & 1
+    m = graph.num_parts
+    counts = [[0] * m for _ in range(m)]
+    for u, row in enumerate(adj):
+        for v, bit in enumerate(row):
+            counts[graph.part_of[u]][graph.part_of[v]] += bit
+    return np.array(adj, dtype=np.uint8), counts, sum(map(sum, adj)) // 2
 
 
 def graph_components(g: LabeledGraph) -> int:

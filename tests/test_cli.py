@@ -300,3 +300,13 @@ def test_non_finite_integration_inputs_are_errors(tmp_path, capsys, extra):
     assert run_cli(args) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_simulate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
+    out = tmp_path / "o.csv"
+    args = ["simulate", "--rule", "er", "--init", "const:0", "--n", "50",
+            "--t-end", t_end, "--seed", "1", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"error: t_end must be finite, got {t_end}\n"
+    assert not out.exists()

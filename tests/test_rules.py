@@ -8,6 +8,7 @@ import pytest
 
 from flipflow import (
     BUILTIN_RULES,
+    ConfigError,
     LabeledGraph,
     NonFiniteValueError,
     NonStochasticRowError,
@@ -315,6 +316,18 @@ def test_rule_file_defaults_missing_rows_to_idle(tmp_path):
     path.write_text('{"k": 3, "rows": [[7, [[0, 1.0]]]]}')
     rule = load_rule(path)
     assert rule.rows == triangle_removal_rule().rows
+
+
+def test_row_keys_outside_the_graph_range_are_rejected(tmp_path):
+    for bad in (99, -1):
+        with pytest.raises(NonStochasticRowError, match=f"F index {bad} outside") as err:
+            Rule.from_row_map(2, {bad: [(0, 1.0)]})
+        assert err.value.row == bad
+    path = tmp_path / "rule.json"
+    path.write_text('{"k": 2, "rows": [[99, [[0, 1.0]]], [-1, [[1, 1.0]]]]}')
+    with pytest.raises(ConfigError, match="F index 99 outside") as err:
+        load_rule(path)
+    assert str(path) in str(err.value)
 
 
 def test_rule_file_rejects_non_stochastic(tmp_path):

@@ -1,7 +1,10 @@
+from itertools import permutations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipflow import (
     NonFiniteValueError,
@@ -12,6 +15,7 @@ from flipflow import (
     erdos_renyi_rule,
     extremist_rule,
     induced_pattern,
+    make_rule,
     one_step_expectation_check,
     removal_rule,
     run,
@@ -24,10 +28,11 @@ from flipflow import (
     write_transference_csv,
 )
 from flipflow import LabeledGraph
-from flipflow.simulate import _bisection_variance
+from flipflow.rules import BUILTIN_RULES
+from flipflow.simulate import _BLOCK, _bisection_variance, _distinct_tuples
 from flipflow.stepfun import block_counts, block_graphon
 
-from conftest import brute_block_average
+from conftest import brute_block_average, random_rule, sequential_steps
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -231,3 +236,68 @@ def test_simulator_draws_as_the_vectorised_sampler():
 def test_process_needs_enough_vertices():
     with pytest.raises(ValueError):
         ProcessState(TR, SimGraph(2), seed=0)
+
+
+def assert_same_state(state, oracle):
+    adj, counts, edges = oracle
+    assert np.array_equal(state.adj, adj)
+    assert state.block_counts == counts
+    assert state.edge_total == edges
+
+
+@pytest.mark.parametrize("n", [12, 400])
+@pytest.mark.parametrize("name", [*BUILTIN_RULES, "random:4"])
+def test_batched_steps_equal_the_sequential_oracle(name, n):
+    # at n = 12 nearly every step waits on the one before it
+    rule = random_rule(np.random.default_rng(31), 4, active=0.7) if name == "random:4" else make_rule(name)
+    g = sample_graph(n, two_block((0.5, 0.5), 0.7, 0.2, 0.4), substream(21, "init"))
+    state = ProcessState(rule, g, seed=17)
+    state.step_many(100_000)
+    assert state.step_count == 100_000
+    assert_same_state(state, sequential_steps(rule, g, 17, 100_000))
+
+
+def test_any_split_of_the_steps_gives_the_same_state():
+    g = sample_graph(40, two_block((0.3, 0.7), 0.6, 0.1, 0.5), substream(22, "init"))
+    total = 4 * _BLOCK + 123
+    whole = ProcessState(EXT3, g, seed=8)
+    whole.step_many(total)
+    rng = np.random.default_rng(9)
+    split = ProcessState(EXT3, g, seed=8)
+    for count in (_BLOCK - 1, 1, 0, _BLOCK):
+        split.step_many(count)
+    while split.step_count < total:
+        if rng.random() < 0.3:
+            split.step()
+        else:
+            split.step_many(min(int(rng.integers(0, 3000)), total - split.step_count))
+    assert split.step_count == total
+    assert split.last_tuple == whole.last_tuple
+    assert_same_state(split, (whole.adj, whole.block_counts, whole.edge_total))
+    assert_same_state(split, sequential_steps(EXT3, g, 8, total))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    shape=st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 12))),
+    rule_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 10**6),
+    counts=st.lists(st.integers(0, _BLOCK), min_size=1, max_size=3),
+)
+def test_batched_steps_equal_the_oracle_on_random_rules(shape, rule_seed, seed, counts):
+    k, n = shape
+    rng = np.random.default_rng(rule_seed)
+    rule = random_rule(rng, k, active=float(rng.random()))
+    g = sample_graph(n, constant(float(rng.random())), substream(seed, "init"))
+    state = ProcessState(rule, g, seed)
+    for count in counts:
+        state.step_many(count)
+    assert_same_state(state, sequential_steps(rule, g, seed, sum(counts)))
+
+
+def test_tuple_draws_are_uniform_over_ordered_tuples():
+    draws = _distinct_tuples(substream(23, "uniformity"), 5, 3, 60_000)
+    seen, counts = np.unique(draws, axis=0, return_counts=True)
+    assert seen.tolist() == [list(t) for t in permutations(range(5), 3)]
+    chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
+    assert chi2 < 98.32  # the 0.999 quantile of chi-square with 59 degrees of freedom
