@@ -34,7 +34,6 @@ from .integrators import IntegratorOptions
 from .rules import (
     BUILTIN_RULES,
     Rule,
-    average_density,
     complementing_rule,
     component_completion_rule,
     deltas,
@@ -65,7 +64,6 @@ from .stepfun import (
     StepGraphon,
     StepKernel,
     constant,
-    cut_distance_perm,
     cut_norm_exact,
     cut_norm_lower_bound,
     density,
@@ -75,7 +73,6 @@ from .stepfun import (
     linf_dist,
     load_graphon,
     load_sim_graph,
-    rooted_induced_density,
     sample_graph,
     save_graphon,
     save_sim_graph,
@@ -93,7 +90,6 @@ from .trajectory import (
     cut_lipschitz_constant,
     find_destination,
     flow_at,
-    genome_check,
     integrate,
     linf_lipschitz_constant,
     planar_demo,

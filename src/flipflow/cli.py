@@ -210,9 +210,13 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     rule = _build_rule(cfg)
     w0 = _build_init(cfg)
     n = cfg.n
-    if cfg.steps is None and not isfinite(cfg.t_end):
-        raise NonFiniteValueError(f"t_end must be finite, got {cfg.t_end}")
-    total = cfg.steps if cfg.steps is not None else floor(cfg.t_end * n * n)
+    length = "t_end" if cfg.steps is None else "steps"  # --steps wins
+    value = getattr(cfg, length)
+    if not isfinite(value):
+        raise NonFiniteValueError(f"{length} must be finite, got {value}")
+    if value < 0:
+        raise ConfigError([f"{length} must be non-negative, got {value}"])
+    total = value if cfg.steps is not None else floor(value * n * n)
     marks = [round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)] if cfg.checkpoints > 1 else [total]
     graph0 = sample_graph(n, w0, substream(cfg.seed, "init"))
     snapshots = run(rule, graph0, total, checkpoint_steps=marks, seed=cfg.seed)

@@ -104,7 +104,7 @@ class Rule:
             lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
         return targets[lo]
 
-    def row_matrix(self) -> np.ndarray:
+    def _row_matrix(self) -> np.ndarray:
         """Dense R as a (num_graphs, num_graphs) array.  k <= 5 only."""
         if self.k > MAX_BUILDER_ORDER:
             raise UnsupportedOrderError(
@@ -331,7 +331,7 @@ def ignorant_rule(k: int, dist) -> Rule:
     return Rule(k, [row] * ngraphs)
 
 
-def average_density(dist) -> float:
+def _average_density(dist) -> float:
     """Mean edge density of a replacement distribution over order-k graphs."""
     dist = np.asarray(dist, dtype=float)
     ngraphs = len(dist)

@@ -145,7 +145,7 @@ def induced_density(pattern: LabeledGraph, w: StepKernel) -> float:
     return _contract(pattern, w, induced=True)
 
 
-def rooted_induced_density(
+def _rooted_induced_density(
     pattern: LabeledGraph, roots, parts, w: StepKernel
 ) -> float:
     """Induced density with two root vertices pinned to fixed parts.
@@ -260,7 +260,7 @@ def cut_norm_lower_bound(k: StepKernel, restarts: int = 64, seed: int = 0) -> fl
     return float(np.max(np.abs(totals))) if restarts > 0 else 0.0
 
 
-def cut_distance_perm(u: StepKernel, w: StepKernel) -> float:
+def _cut_distance_perm(u: StepKernel, w: StepKernel) -> float:
     """Upper bound on the cut distance via part relabelings.
 
     Minimizes the exact cut norm of u - w∘sigma over mass-preserving part

@@ -61,9 +61,6 @@ class Trajectory:
     checkpoints: list  # [(t, StepGraphon)]
     stats: StepStats = field(default_factory=StepStats)
 
-    def times(self) -> list[float]:
-        return [t for t, _ in self.checkpoints]
-
 
 def flow_at(
     rule: Rule, w0: StepGraphon, t: float, opts: IntegratorOptions = DEFAULT_OPTS
@@ -289,7 +286,7 @@ def constant_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) ->
     return merged
 
 
-def genome_check(
+def _genome_check(
     rule: Rule,
     u0: StepGraphon,
     w0: StepGraphon,
@@ -364,11 +361,7 @@ def planar_demo(
 ) -> PlanarTrace:
     """Integrate the planar field from p0, recording a trace of the orbit."""
     times = np.linspace(0.0, t_end, num_points)
-    y = np.array([float(p0[0]), float(p0[1])])
-    points = [y.copy()]
-    t = 0.0
-    for tc in times[1:]:
-        leg = integrate_span(lambda q: planar_field(q), y, t, float(tc), opts)
-        y, t = leg.y, float(tc)
-        points.append(y.copy())
+    points = [np.array([float(p0[0]), float(p0[1])])]
+    for t0, t1 in zip(times[:-1].tolist(), times[1:].tolist()):
+        points.append(integrate_span(planar_field, points[-1], t0, t1, opts).y)
     return PlanarTrace(times, np.array(points))

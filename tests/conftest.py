@@ -6,7 +6,8 @@ enumerate every subset pair, rooted densities multiply factors in plain
 Python loops, pair coefficients walk every rule entry, the velocity
 sums its definition term by term, and block averages loop over ordered
 vertex pairs.  The sequential stepper replays the simulator's block
-draws one flip at a time, with `bisect_right` on the replacement table.
+draws one flip at a time, and the drift oracle the drift harness's draws
+one sample at a time, both with `bisect_right` on the replacement table.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, pair_list
+from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, induced_pattern, pair_list
 from flipflow.graphs import pair_position
 from flipflow.simulate import _BLOCK
 from flipflow.streams import substream
@@ -199,12 +200,7 @@ def sequential_steps(rule: Rule, graph, seed: int, steps: int):
         if at == 0:
             columns = [tuple_rng.integers(0, n - s, size=_BLOCK).tolist() for s in range(k)]
             variates = replace_rng.random(_BLOCK).tolist()
-        tup = []
-        for column in columns:
-            x = column[at]
-            for pick in sorted(tup):
-                x += x >= pick
-            tup.append(x)
+        tup = replay_tuple(columns, at)
         f = sum(adj[tup[a]][tup[b]] << p for p, (a, b) in pairs)
         h = targets[bisect_right(cdf, variates[at], starts[f], starts[f + 1] - 1)]
         for p, (a, b) in pairs:
@@ -215,6 +211,50 @@ def sequential_steps(rule: Rule, graph, seed: int, steps: int):
         for v, bit in enumerate(row):
             counts[graph.part_of[u]][graph.part_of[v]] += bit
     return np.array(adj, dtype=np.uint8), counts, sum(map(sum, adj)) // 2
+
+
+def replay_tuple(columns, at: int) -> list[int]:
+    """Tuple `at` of the drawn columns: column s picks among the vertices
+    the earlier columns left, skipping their picks in ascending order."""
+    tup = []
+    for column in columns:
+        x = column[at]
+        for pick in sorted(tup):
+            x += x >= pick
+        tup.append(x)
+    return tup
+
+
+def sequential_drift(rule: Rule, graph, parts, samples: int, seed: int):
+    """(empirical, stderr) of `one_step_expectation_check`, one sample at a time.
+
+    Draws tuple columns and then the variates from the ("drift", i, j)
+    substream, reads each pattern with `induced_pattern`, and sums the
+    scaled change of every pair inside block (i, j) in pair order.
+    """
+    i, j = parts
+    n = graph.n
+    rng = substream(seed, "drift", i, j)
+    columns = [rng.integers(0, n - s, size=samples).tolist() for s in range(rule.k)]
+    variates = rng.random(samples).tolist()
+    targets, cdf, starts = (a.tolist() for a in rule.replacement_table())
+    sizes = [graph.part_of.count(p) for p in range(graph.num_parts)]
+    scale = 2.0 / (sizes[i] * sizes[i]) if i == j else 1.0 / (sizes[i] * sizes[j])
+    pairs = list(enumerate(pair_list(rule.k)))
+    deltas = []
+    for at in range(samples):
+        tup = replay_tuple(columns, at)
+        f = induced_pattern(graph, tup).edges
+        h = targets[bisect_right(cdf, variates[at], starts[f], starts[f + 1] - 1)]
+        delta = 0.0
+        for p, (a, b) in pairs:
+            if {graph.part_of[tup[a]], graph.part_of[tup[b]]} == {i, j}:
+                delta += ((h >> p & 1) - (f >> p & 1)) * scale
+        deltas.append(delta)
+    # the mean and deviation as the harness reduces them
+    deltas = np.array(deltas)
+    n2 = n * (n - 1)
+    return float(n2 * deltas.mean()), float(n2 * deltas.std(ddof=1) / np.sqrt(samples))
 
 
 def graph_components(g: LabeledGraph) -> int:

@@ -310,3 +310,14 @@ def test_simulate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
     assert run_cli(args) == 1
     assert capsys.readouterr().err == f"error: t_end must be finite, got {t_end}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name, value", [("--t-end", "t_end", "-0.5"), ("--steps", "steps", "-5")])
+def test_simulate_names_a_negative_length(tmp_path, capsys, flag, name, value):
+    out = tmp_path / "o.csv"
+    args = ["simulate", "--rule", "er", "--init", "const:0", "--n", "50", "--seed", "1", "--out", str(out)]
+    assert run_cli(args + [f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {name} must be non-negative, got {value}\n"
+    assert not out.exists()
+    assert run_cli(args + [f"{flag}=0"]) == 0
+    assert out.exists()

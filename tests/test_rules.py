@@ -13,7 +13,6 @@ from flipflow import (
     NonFiniteValueError,
     NonStochasticRowError,
     Rule,
-    average_density,
     complementing_rule,
     component_completion_rule,
     deltas,
@@ -33,6 +32,7 @@ from flipflow import (
     validate,
 )
 from flipflow.graphs import pair_position
+from flipflow.rules import _average_density
 
 from conftest import brute_pair_coefficients, random_rule
 
@@ -164,7 +164,7 @@ def test_ignorant_rule():
     uniform = np.full(8, 1 / 8)
     rule = ignorant_rule(3, uniform)
     validate(rule)
-    assert abs(average_density(uniform) - 0.5) < 1e-15
+    assert abs(_average_density(uniform) - 0.5) < 1e-15
     with pytest.raises(NonStochasticRowError):
         ignorant_rule(3, np.full(8, 0.1))
 
@@ -284,7 +284,7 @@ def test_symmetric_builders_commute_with_relabeling():
     ]
     for rule in cases:
         k = rule.k
-        mat = rule.row_matrix()
+        mat = rule._row_matrix()
         for perm in itertools.permutations(range(k)):
             for f in range(rule.num_graphs):
                 pf = permute(LabeledGraph(k, f), perm).edges

@@ -29,10 +29,10 @@ from flipflow import (
 )
 from flipflow import LabeledGraph
 from flipflow.rules import BUILTIN_RULES
-from flipflow.simulate import _BLOCK, _bisection_variance, _distinct_tuples
+from flipflow.simulate import _BLOCK, _distinct_tuples
 from flipflow.stepfun import block_counts, block_graphon
 
-from conftest import brute_block_average, random_rule, sequential_steps
+from conftest import brute_block_average, random_rule, sequential_drift, sequential_steps
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -160,9 +160,7 @@ def test_block_averages_equal_the_pair_loop():
     state.step_many(3000)
     assert state.step_count == 3000
     assert np.array_equal(state.stepped().values, brute_block_average(state.adj, state.part_of))
-    # a one-vertex part cannot be bisected
-    assert _bisection_variance(state, substream(15, "bisect")) == 0.0
-    # merge it into the complete part: fine blocks 2 * part + half
+    # merge the one-vertex part into the complete one; fine blocks 2 * part + half
     merged = ProcessState(state.rule, SimGraph(g.n, state.adj, [max(p, 1) - 1 for p in g.part_of]), seed=4)
     part_of = np.array(merged.part_of)
     halves = np.zeros(g.n, dtype=np.int64)
@@ -173,8 +171,6 @@ def test_block_averages_equal_the_pair_loop():
     labels = 2 * part_of + halves
     fine = block_graphon(block_counts(merged.adj, labels, 4), np.bincount(labels)).values
     assert np.array_equal(fine, brute_block_average(merged.adj, labels))
-    coarse = np.repeat(np.repeat(brute_block_average(merged.adj, merged.part_of), 2, 0), 2, 1)
-    assert _bisection_variance(merged, substream(15, "bisect")) == np.var(fine - coarse)
 
 
 def test_one_step_drift_trivial_rule():
@@ -194,6 +190,16 @@ def test_one_step_drift_matches_velocity():
     assert abs(chk.empirical - chk.exact) <= 4 * chk.stderr + 54 / n
 
 
+@pytest.mark.parametrize("parts", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("name", ["triangle-removal", "extremist:5"])
+def test_one_step_drift_equals_the_sequential_oracle(name, parts):
+    rule = make_rule(name)
+    g = sample_graph(60, two_block((0.4, 0.6), 0.7, 0.2, 0.5), substream(13, "init"))
+    chk = one_step_expectation_check(rule, g, parts, 4000, seed=6)
+    assert (chk.empirical, chk.stderr) == sequential_drift(rule, g, parts, 4000, 6)
+    assert chk.samples == 4000
+
+
 def test_transference_small_run_and_csv(tmp_path):
     report = transference_experiment(
         ER, constant(0.0), n=300, t_end=0.4, checkpoint_count=4, seed=5
@@ -201,7 +207,6 @@ def test_transference_small_run_and_csv(tmp_path):
     assert report.times == pytest.approx([0.1, 0.2, 0.3, 0.4])
     assert all(d >= 0 for d in report.cut_dists)
     assert report.max_cut_dist() <= 0.05
-    assert len(report.bisect_density_var) == 4
     path = tmp_path / "report.csv"
     write_transference_csv(report, path)
     lines = path.read_text().splitlines()

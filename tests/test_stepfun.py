@@ -15,7 +15,6 @@ from flipflow import (
     StepGraphon,
     StepKernel,
     constant,
-    cut_distance_perm,
     cut_norm_exact,
     cut_norm_lower_bound,
     density,
@@ -27,7 +26,6 @@ from flipflow import (
     linf_dist,
     load_graphon,
     load_sim_graph,
-    rooted_induced_density,
     sample_graph,
     save_graphon,
     save_sim_graph,
@@ -35,6 +33,7 @@ from flipflow import (
     substream,
     two_block,
 )
+from flipflow.stepfun import _cut_distance_perm, _rooted_induced_density
 from conftest import (
     brute_cut_norm,
     brute_density,
@@ -109,10 +108,10 @@ def test_rooted_density_basics(rng):
     empty2 = LabeledGraph.from_index(2, 0)
     for i in range(2):
         for j in range(2):
-            assert rooted_induced_density(EDGE2, (0, 1), (i, j), tb) == pytest.approx(
+            assert _rooted_induced_density(EDGE2, (0, 1), (i, j), tb) == pytest.approx(
                 tb.values[i, j]
             )
-            assert rooted_induced_density(empty2, (0, 1), (i, j), tb) == pytest.approx(
+            assert _rooted_induced_density(empty2, (0, 1), (i, j), tb) == pytest.approx(
                 1 - tb.values[i, j]
             )
     # distribution over patterns: sums to one for every root/part pair
@@ -121,7 +120,7 @@ def test_rooted_density_basics(rng):
         for roots in ((0, 1), (2, 0)):
             for parts in ((0, 0), (1, 2)):
                 total = sum(
-                    rooted_induced_density(g, roots, parts, w)
+                    _rooted_induced_density(g, roots, parts, w)
                     for g in enumerate_graphs(3)
                 )
                 assert total == pytest.approx(1.0, abs=1e-12)
@@ -137,7 +136,7 @@ def test_rooted_density_against_brute_force(rng):
         for g in patterns:
             for roots in ((0, 1), (1, 0), (k - 1, 0)):
                 for parts in ((0, 1), (2, 2), (2, 0)):
-                    assert rooted_induced_density(g, roots, parts, w) == pytest.approx(
+                    assert _rooted_induced_density(g, roots, parts, w) == pytest.approx(
                         brute_rooted(g, roots, parts, w), abs=1e-12
                     )
 
@@ -152,7 +151,7 @@ def test_rooted_supergraph_sum_matches_plain_rooted_density(rng):
             for parts in ((0, 2), (1, 1)):
                 direct = brute_rooted(f, roots, parts, w, induced=False)
                 total = sum(
-                    rooted_induced_density(h, roots, parts, w)
+                    _rooted_induced_density(h, roots, parts, w)
                     for h in enumerate_graphs(k)
                     if h.edges & f.edges == f.edges
                 )
@@ -246,15 +245,15 @@ def test_norm_ordering(rng):
 def test_cut_distance_perm():
     w1 = StepGraphon([0.5, 0.5], [[0.9, 0.2], [0.2, 0.4]])
     w2 = StepGraphon([0.5, 0.5], [[0.4, 0.2], [0.2, 0.9]])
-    assert cut_distance_perm(w1, w2) == pytest.approx(0.0, abs=1e-15)
-    assert cut_distance_perm(constant(0.3), constant(0.8)) == pytest.approx(0.5)
+    assert _cut_distance_perm(w1, w2) == pytest.approx(0.0, abs=1e-15)
+    assert _cut_distance_perm(constant(0.3), constant(0.8)) == pytest.approx(0.5)
     direct = cut_norm_exact(kernel_sub(w1, w2))
-    assert 0.0 <= cut_distance_perm(w1, w2) <= direct + 1e-15
+    assert 0.0 <= _cut_distance_perm(w1, w2) <= direct + 1e-15
     with pytest.raises(MassMismatchError):
-        cut_distance_perm(constant(0.5), two_block((0.5, 0.5), 0.5, 0.5, 0.5))
+        _cut_distance_perm(constant(0.5), two_block((0.5, 0.5), 0.5, 0.5, 0.5))
     big = StepGraphon(np.full(9, 1 / 9), np.full((9, 9), 0.5))
     with pytest.raises(GuardExceededError):
-        cut_distance_perm(big, big)
+        _cut_distance_perm(big, big)
 
 
 def test_sample_graph_extremes_and_concentration():

@@ -19,7 +19,6 @@ from flipflow import (
     extremist_rule,
     find_destination,
     flow_at,
-    genome_check,
     ignorant_rule,
     integrate,
     linf_dist,
@@ -32,7 +31,7 @@ from flipflow import (
     two_block,
     velocity,
 )
-from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN, _field
+from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN, _field, _genome_check
 
 from conftest import random_graphon
 
@@ -194,14 +193,14 @@ def test_constant_fixed_points():
 
 
 def test_genome_check():
-    assert math.isnan(genome_check(ER, constant(0.3), constant(0.3), 0.5))
+    assert math.isnan(_genome_check(ER, constant(0.3), constant(0.3), 0.5))
     t = 0.7
-    ratio = genome_check(ER, constant(0.2), constant(0.6), t)
+    ratio = _genome_check(ER, constant(0.2), constant(0.6), t)
     assert ratio == pytest.approx(math.exp(-2 * t), abs=1e-6)
     assert ratio <= math.exp(cut_lipschitz_constant(2) * t)
     u0 = two_block((0.5, 0.5), 0.95, 0.95, 0.18)
     w0 = two_block((0.5, 0.5), 0.95, 0.95, 0.15)
-    ratio = genome_check(EXT3, u0, w0, 1.4)
+    ratio = _genome_check(EXT3, u0, w0, 1.4)
     assert ratio <= math.exp(cut_lipschitz_constant(3) * 1.4)
 
 
