@@ -116,6 +116,8 @@ class ProcessState:
 
     def step_many(self, count: int) -> None:
         """Advance by `count` flips, drawing a new block when one runs out."""
+        if count < 0:
+            raise ValueError(f"step_many needs a non-negative flip count, got {count}")
         done = 0
         while done < count:
             if self._ptr == len(self._uniforms):

@@ -40,17 +40,10 @@ def _field(plan: VelocityPlan):
     return f
 
 
-def _band_observer(band: float, stats: StepStats):
-    def observe(_t0, _y0, t1, y1):
-        excursion = max(float(-(y1.min())), float(y1.max() - 1.0), 0.0)
-        stats.max_excursion = max(stats.max_excursion, excursion)
-        if excursion > band:
-            raise IntegrationFaultError(
-                f"trajectory left the [0,1] band by {excursion:.3e} at t={t1:.6g}"
-            )
-        return None
-
-    return observe
+def _start(rule: Rule, w0: StepGraphon):
+    """The velocity plan on `w0`'s parts, the field it gives and the packed start."""
+    plan = VelocityPlan(rule, w0.masses)
+    return plan, _field(plan), plan.pack(w0.values)
 
 
 @dataclass
@@ -76,12 +69,9 @@ def flow_at(
         raise NonFiniteValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return w0
-    stats = StepStats()
-    observer = _band_observer(opts.band_tol, stats) if t > 0 else None
-    plan = VelocityPlan(rule, w0.masses)
-    leg = integrate_span(_field(plan), plan.pack(w0.values), 0.0, t, opts, observer)
-    band = opts.band_tol if t > 0 else RHS_BAND
-    return StepGraphon(w0.masses, plan.unpack(leg.y), band=band)
+    plan, f, y0 = _start(rule, w0)
+    leg = integrate_span(f, y0, 0.0, t, opts, band=t > 0)
+    return StepGraphon(w0.masses, plan.unpack(leg.y), band=opts.band_tol if t > 0 else RHS_BAND)
 
 
 def integrate(
@@ -91,7 +81,10 @@ def integrate(
     checkpoint_times=None,
     opts: IntegratorOptions = DEFAULT_OPTS,
 ) -> Trajectory:
-    """Integrate forward to t_end, recording the flow at checkpoint times."""
+    """Integrate forward to t_end, recording the flow at checkpoint times.
+
+    Checkpoints are read off the steps of one span that cover them.
+    """
     if not isfinite(t_end):
         raise NonFiniteValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0:
@@ -101,23 +94,18 @@ def integrate(
     times = sorted({float(t) for t in checkpoint_times})
     if times and (times[0] < 0 or times[-1] > t_end + 1e-12):
         raise ValueError("checkpoint times must lie in [0, t_end]")
-    stats = StepStats()
-    observer = _band_observer(opts.band_tol, stats)
-    plan = VelocityPlan(rule, w0.masses)
-    f = _field(plan)
-    checkpoints = []
-    y = plan.pack(w0.values)
-    t = 0.0
-    for tc in times:
-        if tc > t:
-            leg = integrate_span(f, y, t, tc, opts, observer)
-            stats.merge(leg.stats)
-            y, t = leg.y, tc
-        checkpoints.append((tc, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)))
-    if t_end > t:
-        leg = integrate_span(f, y, t, t_end, opts, observer)
-        stats.merge(leg.stats)
-    return Trajectory(w0.masses, checkpoints, stats)
+    states = []
+
+    def visit(step):
+        while len(states) < len(times) and times[len(states)] <= step.t1:
+            states.append(step.at(times[len(states)]))
+
+    plan, f, y0 = _start(rule, w0)
+    leg = integrate_span(f, y0, 0.0, max([t_end, *times]), opts, visit, band=True)
+    states += [leg.y] * (len(times) - len(states))  # a flow of length 0 takes no step
+    checkpoints = [(t, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol))
+                   for t, y in zip(times, states)]
+    return Trajectory(w0.masses, checkpoints, leg.stats)
 
 
 def semigroup_check(
@@ -155,14 +143,14 @@ def backward_age(
 ) -> AgeResult:
     """Largest backward time for which the flow stays a graphon.
 
-    Integrates in negative time and bisects the first entry crossing of
-    0 or 1 from inside.  If `w0` already touches the boundary and the
-    backward motion at a touching entry points outside [0, 1], the age
-    is 0 with origin `w0` itself.  Fixed points and other flows that
-    survive past `max_age` report "exceeded".
+    Integrates in negative time, in one span, up to the first step that
+    ends with an entry outside [0, 1], then bisects the crossing time on
+    that step's interpolant, which evaluates no RHS.  If `w0` already
+    touches the boundary and the backward motion at a touching entry
+    points outside [0, 1], the age is 0 with origin `w0` itself.  Fixed
+    points and other flows that survive past `max_age` report "exceeded".
     """
-    plan = VelocityPlan(rule, w0.masses)
-    y0 = plan.pack(w0.values)
+    plan, f, y0 = _start(rule, w0)
     vel0 = plan.pack(velocity(rule, w0).values)
     touching_low = y0 <= opts.band_tol
     touching_high = y0 >= 1.0 - opts.band_tol
@@ -171,29 +159,24 @@ def backward_age(
     if np.any(touching_low & (vel0 > 0)) or np.any(touching_high & (vel0 < 0)):
         return AgeResult(False, 0.0, w0, max_age)
 
-    f = _field(plan)
-    crossing: dict = {}
-
     def inside(y: np.ndarray) -> bool:
         return float(y.min()) >= 0.0 and float(y.max()) <= 1.0
 
-    def observe(t0, yprev, t1, ynew):
-        if not inside(ynew):
-            crossing["bracket"] = (t0, yprev, t1, ynew)
-            return True
-        return None
+    steps = []
 
-    leg = integrate_span(f, y0, 0.0, -max_age, opts, observe)
-    if "bracket" not in crossing:
+    def crossed(step):
+        steps[:] = [step]
+        return not inside(step.y1)
+
+    if inside(integrate_span(f, y0, 0.0, -max_age, opts, crossed).y):
         return AgeResult(True, max_age=max_age)
-    t_in, y_in, t_out, _ = crossing["bracket"]
-    resolution = max(opts.atol, 1e-13)
-    # bisect on time within the bracketing step; reintegrate short spans
-    while abs(t_out - t_in) > resolution:
+    step = steps[0]
+    t_in, y_in, t_out = step.t0, step.y0, step.t1
+    while abs(t_out - t_in) > max(opts.atol, 1e-13):
         t_mid = 0.5 * (t_in + t_out)
-        leg = integrate_span(f, y_in, t_in, t_mid, opts)
-        if inside(leg.y):
-            t_in, y_in = t_mid, leg.y
+        y_mid = step.at(t_mid)
+        if inside(y_mid):
+            t_in, y_in = t_mid, y_mid
         else:
             t_out = t_mid
     origin = StepGraphon(w0.masses, plan.unpack(y_in), band=opts.band_tol)
@@ -228,26 +211,29 @@ def find_destination(
     reaches `t_max` without settling is reported, never guessed: there
     are rules with periodic trajectories, so non-convergence is a value.
     """
-    # written so that NaN fails too: the loop below must run at least once
+    # written so that NaN fails too: at least one unit of time is read
     if not (eps_vel > 0 and eps_move > 0 and t_max > 0):
         raise ValueError("tolerances and t_max must be positive")
-    plan = VelocityPlan(rule, w0.masses)
-    f = _field(plan)
-    stats = StepStats()
-    observer = _band_observer(opts.band_tol, stats)
-    y = plan.pack(w0.values)
-    t = 0.0
-    while t < t_max:
-        t_next = min(t + 1.0, t_max)
-        leg = integrate_span(f, y, t, t_next, opts, observer)
-        movement = float(np.max(np.abs(leg.y - y)))
-        y, t = leg.y, t_next
-        residual = float(np.max(np.abs(f(y))))
-        if residual < eps_vel and movement < eps_move:
-            w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
-            return DestinationResult(True, w, residual, movement, t)
+    plan, f, y0 = _start(rule, w0)
+    t, y, residual, movement = 0.0, y0, np.inf, np.inf
+
+    def visit(step):
+        # read the state after each unit of time the step covers
+        nonlocal t, y, residual, movement
+        while t < t_max and min(t + 1.0, t_max) <= step.t1:
+            t = min(t + 1.0, t_max)
+            y_next = step.at(t)
+            movement = float(np.max(np.abs(y_next - y)))
+            residual = float(np.max(np.abs(f(y_next))))
+            y = y_next
+            if residual < eps_vel and movement < eps_move:
+                return True
+        return False
+
+    integrate_span(f, y0, 0.0, t_max, opts, visit, band=True)
+    converged = residual < eps_vel and movement < eps_move
     w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
-    return DestinationResult(False, w, residual, movement, t)
+    return DestinationResult(converged, w, residual, movement, t)
 
 
 def constant_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) -> list[float]:

@@ -60,6 +60,14 @@ def test_triangle_free_start_is_absorbed():
     assert np.array_equal(state.adj, before)
 
 
+def test_step_many_rejects_a_negative_count_and_takes_zero_as_no_step():
+    state = ProcessState(ER, SimGraph(10), seed=0)
+    with pytest.raises(ValueError, match="-5"):
+        state.step_many(-5)
+    state.step_many(0)
+    assert state.step_count == 0 and state.edge_total == 0
+
+
 def test_trivial_rule_never_changes_the_graph():
     g = sample_graph(40, constant(0.4), substream(1, "init"))
     state = ProcessState(identity_rule(3), g, seed=5)

@@ -23,6 +23,7 @@ from flipflow import (
     integrate,
     linf_dist,
     linf_lipschitz_constant,
+    make_rule,
     planar_demo,
     planar_field,
     semigroup_check,
@@ -31,6 +32,8 @@ from flipflow import (
     two_block,
     velocity,
 )
+import flipflow.trajectory as trajectory_module
+from flipflow.integrators import _DP_B5, _DP_DENSE, _RK4_DENSE
 from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN, _field, _genome_check
 
 from conftest import random_graphon
@@ -271,6 +274,72 @@ def test_rk4_fixed_reproducible_and_consistent():
     b = flow_at(ER, constant(0.0), 1.0, opts)
     assert np.array_equal(a.values, b.values)
     assert a.values[0, 0] == pytest.approx(1 - math.exp(-2), abs=1e-10)
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """The stats of every integrator span the trajectory module runs.
+
+    Each span's RHS counter is checked against the calls it made.
+    """
+    seen = []
+    run = trajectory_module.integrate_span
+
+    def counted(f, *args, **kwargs):
+        calls = []
+        leg = run(lambda y: calls.append(y) or f(y), *args, **kwargs)
+        assert leg.stats.rhs_evals == len(calls)
+        seen.append(leg.stats)
+        return leg
+
+    monkeypatch.setattr(trajectory_module, "integrate_span", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["er", "extremist:3", "complementing:3"])
+def test_checkpoints_cost_no_rhs_evaluations(spans, name):
+    rule = make_rule(name)
+    w0 = two_block((0.4, 0.6), 0.2, 0.8, 0.5)
+    t_end = 1.0
+    traj = integrate(rule, w0, t_end, checkpoint_times=np.linspace(0, t_end, 5))
+    flow_at(rule, w0, t_end)
+    assert len(spans) == 2
+    along, direct = spans
+    assert traj.stats.rhs_evals == along.rhs_evals == direct.rhs_evals > 0
+    assert along.accepted == direct.accepted and along.rejected == direct.rejected
+
+
+def test_backward_age_bisects_on_one_span(spans):
+    res = backward_age(ER, constant(1 - math.exp(-2)))
+    assert res.age == pytest.approx(1.0, abs=1e-6)
+    assert len(spans) == 1
+    assert spans[0].rhs_evals <= 400
+
+
+def test_rk4_fixed_checkpoints_between_grid_points():
+    opts = IntegratorOptions(method="rk4_fixed", step=0.007)  # 143 steps to t = 1
+    times = np.linspace(0.0, 1.0, 11)
+    a = integrate(ER, constant(0.0), 1.0, checkpoint_times=times, opts=opts)
+    b = integrate(ER, constant(0.0), 1.0, checkpoint_times=times, opts=opts)
+    assert a.stats.accepted == 143 and a.stats.rhs_evals == 4 * 143
+    for (t, wa), (_, wb) in zip(a.checkpoints, b.checkpoints):
+        assert np.array_equal(wa.values, wb.values)
+        assert wa.values[0, 0] == pytest.approx(1 - math.exp(-2 * t), abs=1e-8)
+
+
+def test_interpolated_checkpoints_match_flow_at_and_keep_linear_invariants():
+    # at theta = 1 both continuous extensions reduce to their method's weights
+    assert np.allclose(_DP_DENSE.sum(axis=1), _DP_B5, rtol=0, atol=1e-15)
+    assert np.allclose(_RK4_DENSE.sum(axis=1), [1 / 6, 1 / 3, 1 / 3, 1 / 6], rtol=0, atol=1e-15)
+    w0 = two_block((0.5, 0.5), 0.95, 0.95, 0.18)
+    traj = integrate(EXT3, w0, 1.45, checkpoint_times=np.arange(0.05, 1.45, 0.1))
+    for t, w in traj.checkpoints:
+        assert linf_dist(w, flow_at(EXT3, w0, t)) <= 1e-9
+    stirring = stirring_rule(3, "loose")
+    w0 = two_block((0.3, 0.7), 0.9, 0.1, 0.4)
+    traj = integrate(stirring, w0, 1.0, checkpoint_times=np.arange(0.05, 1.0, 0.1))
+    for _t, w in traj.checkpoints:
+        assert abs(w.edge_density() - w0.edge_density()) <= 1e-12
 
 
 def test_planar_field_geometry():
