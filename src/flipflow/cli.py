@@ -16,6 +16,7 @@ fault (integration failure or an enumeration guard).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -296,6 +297,7 @@ _MODES = {
 }
 
 
+@functools.cache  # built at the first `main` call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipflow",

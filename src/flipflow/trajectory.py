@@ -46,6 +46,18 @@ def _start(rule: Rule, w0: StepGraphon):
     return plan, _field(plan), plan.pack(w0.values)
 
 
+def _read_span(f, y0, t_end, times, opts, band=False):
+    """The states at `times`, in order from 0 towards t_end, read off one span; and its leg."""
+    states = []
+
+    def visit(step):
+        while len(states) < len(times) and (step.t1 - times[len(states)]) * step.h >= 0:
+            states.append(step.at(times[len(states)]))
+
+    leg = integrate_span(f, y0, 0.0, t_end, opts, visit, band=band)
+    return states + [leg.y] * (len(times) - len(states)), leg  # a span of length 0 takes no step
+
+
 @dataclass
 class Trajectory:
     """Time-stamped step graphons along one flow, with integrator stats."""
@@ -94,15 +106,8 @@ def integrate(
     times = sorted({float(t) for t in checkpoint_times})
     if times and (times[0] < 0 or times[-1] > t_end + 1e-12):
         raise ValueError("checkpoint times must lie in [0, t_end]")
-    states = []
-
-    def visit(step):
-        while len(states) < len(times) and times[len(states)] <= step.t1:
-            states.append(step.at(times[len(states)]))
-
     plan, f, y0 = _start(rule, w0)
-    leg = integrate_span(f, y0, 0.0, max([t_end, *times]), opts, visit, band=True)
-    states += [leg.y] * (len(times) - len(states))  # a flow of length 0 takes no step
+    states, leg = _read_span(f, y0, max([t_end, *times]), times, opts, band=True)
     checkpoints = [(t, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol))
                    for t, y in zip(times, states)]
     return Trajectory(w0.masses, checkpoints, leg.stats)
@@ -347,7 +352,11 @@ def planar_demo(
 ) -> PlanarTrace:
     """Integrate the planar field from p0, recording a trace of the orbit."""
     times = np.linspace(0.0, t_end, num_points)
-    points = [np.array([float(p0[0]), float(p0[1])])]
-    for t0, t1 in zip(times[:-1].tolist(), times[1:].tolist()):
-        points.append(integrate_span(planar_field, points[-1], t0, t1, opts).y)
+    start = np.array([float(p0[0]), float(p0[1])])
+    if opts.method == "rk4_fixed":  # a grid on each interval, so that every point is a grid node
+        points = [start]
+        for t0, t1 in zip(times[:-1].tolist(), times[1:].tolist()):
+            points.append(integrate_span(planar_field, points[-1], t0, t1, opts).y)
+    else:
+        points, _ = _read_span(planar_field, start, t_end, times.tolist(), opts)
     return PlanarTrace(times, np.array(points))

@@ -243,7 +243,7 @@ def test_config_values_are_checked_against_declared_types(tmp_path, capsys):
     assert errors == [
         "error: config key 'checkpoints' must be int, got '3'",
         "error: config key 'grid' must be int, got True",
-        "error: config key 'method' must be one of rk45_adaptive, rk4_fixed",
+        "error: config key 'method' must be one of dop853, rk4_fixed",
     ]
     assert not out.exists()
     # an int is a valid float and null leaves a field unset
@@ -321,3 +321,24 @@ def test_simulate_names_a_negative_length(tmp_path, capsys, flag, name, value):
     assert not out.exists()
     assert run_cli(args + [f"{flag}=0"]) == 0
     assert out.exists()
+
+
+def test_the_cached_parser_is_unchanged_by_a_failed_invocation(tmp_path):
+    out = tmp_path / "o.csv"
+    bad = ["trajectory", "--rule", "er", "--init", "const:0.2", "--t-end", "1", "--no-such-flag", "1"]
+    good = ["trajectory", "--rule", "extremist:3", "--init", "two-block:0.5,0.5,0.9,0.8,0.2",
+            "--t-end", "1", "--out", str(out)]
+
+    def alone(args):
+        cli._build_parser.cache_clear()
+        code = run_cli(args)
+        return code, out.read_bytes() if out.exists() else None
+
+    bad_alone = alone(bad)
+    good_alone = alone(good)
+    out.unlink()
+    assert bad_alone == (1, None) and good_alone[0] == 0
+    cli._build_parser.cache_clear()
+    assert run_cli(bad) == 1
+    assert run_cli(good) == 0
+    assert out.read_bytes() == good_alone[1]

@@ -33,8 +33,10 @@ from flipflow import (
     velocity,
 )
 import flipflow.trajectory as trajectory_module
-from flipflow.integrators import _DP_B5, _DP_DENSE, _RK4_DENSE
-from flipflow.trajectory import CIRCLE_CENTER, CIRCLE_RADIUS, FIELD_GAIN, _field, _genome_check
+from flipflow.integrators import _DP_A, _RK4_DENSE, integrate_span
+from flipflow.trajectory import (
+    CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _field, _genome_check, _start,
+)
 
 from conftest import random_graphon
 
@@ -115,6 +117,12 @@ def test_rhs_rejects_states_outside_the_band_and_nan():
     for bad in ([0.2, np.nan, 0.9], [0.2, 1.6, 0.9], [-0.6, 0.5, 0.9]):
         with pytest.raises(IntegrationFaultError):
             f(np.array(bad))
+
+
+def test_a_nan_error_estimate_ends_in_the_underflow_fault():
+    # a field that turns NaN past 0.5: the step shrinks there instead of growing without end
+    with pytest.raises(IntegrationFaultError, match="underflow"):
+        integrate_span(lambda y: np.where(y > 0.5, np.nan, 1.0), [0.0], 0.0, 1.0, DEFAULT_OPTS)
 
 
 def test_semigroup():
@@ -297,23 +305,27 @@ def spans(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["er", "extremist:3", "complementing:3"])
-def test_checkpoints_cost_no_rhs_evaluations(spans, name):
+def test_checkpoints_cost_three_rhs_evaluations_per_step_read(spans, name):
     rule = make_rule(name)
     w0 = two_block((0.4, 0.6), 0.2, 0.8, 0.5)
     t_end = 1.0
-    traj = integrate(rule, w0, t_end, checkpoint_times=np.linspace(0, t_end, 5))
+    times = np.linspace(0, t_end, 5)  # 3 interior checkpoints
+    traj = integrate(rule, w0, t_end, checkpoint_times=times)
     flow_at(rule, w0, t_end)
     assert len(spans) == 2
     along, direct = spans
-    assert traj.stats.rhs_evals == along.rhs_evals == direct.rhs_evals > 0
     assert along.accepted == direct.accepted and along.rejected == direct.rejected
+    # a step read strictly inside evaluates DOP853's three extra stages once
+    extra = along.rhs_evals - direct.rhs_evals
+    assert traj.stats.rhs_evals == along.rhs_evals and direct.rhs_evals > 0
+    assert extra % 3 == 0 and 3 <= extra <= 3 * 3
 
 
 def test_backward_age_bisects_on_one_span(spans):
     res = backward_age(ER, constant(1 - math.exp(-2)))
     assert res.age == pytest.approx(1.0, abs=1e-6)
     assert len(spans) == 1
-    assert spans[0].rhs_evals <= 400
+    assert spans[0].rhs_evals <= 150
 
 
 def test_rk4_fixed_checkpoints_between_grid_points():
@@ -328,8 +340,18 @@ def test_rk4_fixed_checkpoints_between_grid_points():
 
 
 def test_interpolated_checkpoints_match_flow_at_and_keep_linear_invariants():
-    # at theta = 1 both continuous extensions reduce to their method's weights
-    assert np.allclose(_DP_DENSE.sum(axis=1), _DP_B5, rtol=0, atol=1e-15)
+    # DOP853's rows sum to its nodes (row 12 gives the solution, at c = 1) ...
+    r6 = math.sqrt(6)
+    nodes = [0, (12 - 2 * r6) / 135, (6 - r6) / 45, (6 - r6) / 30, (6 + r6) / 30, 1 / 3, 1 / 4, 4 / 13,
+             127 / 195, 3 / 5, 6 / 7, 1, 1, 1 / 10, 1 / 5, 7 / 9]
+    assert np.allclose(_DP_A.sum(axis=1), nodes, rtol=0, atol=1e-15)
+    # ... and its extension meets the step's ends; at theta = 1 RK4's reduces to its weights
+    _, f, y0 = _start(EXT3, two_block((0.5, 0.5), 0.95, 0.95, 0.18))
+    steps = []
+    integrate_span(f, y0, 0.0, 1.0, DEFAULT_OPTS, lambda step: steps.append(step) or True)
+    step = steps[0]
+    assert np.allclose(step._between(0.0), step.y0, rtol=0, atol=1e-15)
+    assert np.allclose(step._between(1.0), step.y1, rtol=0, atol=1e-15)
     assert np.allclose(_RK4_DENSE.sum(axis=1), [1 / 6, 1 / 3, 1 / 3, 1 / 6], rtol=0, atol=1e-15)
     w0 = two_block((0.5, 0.5), 0.95, 0.95, 0.18)
     traj = integrate(EXT3, w0, 1.45, checkpoint_times=np.arange(0.05, 1.45, 0.1))
@@ -357,3 +379,12 @@ def test_planar_field_geometry():
 def test_planar_demo_converges_to_circle():
     trace = planar_demo((0.25, 0.8), t_end=5.0 / FIELD_GAIN, num_points=50)
     assert trace.final_radius() == pytest.approx(CIRCLE_RADIUS, abs=1e-3)
+
+
+def test_planar_demo_reads_one_span(spans):
+    trace = planar_demo((0.25, 0.8), 2000.0)
+    assert len(spans) == 1 and spans[0].rhs_evals <= 100
+    restarted = [trace.points[0]]
+    for t0, t1 in zip(trace.times[:-1].tolist(), trace.times[1:].tolist()):
+        restarted.append(integrate_span(planar_field, restarted[-1], t0, t1, DEFAULT_OPTS).y)
+    assert np.abs(trace.points - np.array(restarted)).max() <= 1e-9
