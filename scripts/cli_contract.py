@@ -11,6 +11,12 @@ change is checked against its parent by diffing:
     PYTHONPATH=<parent tree>/src python scripts/cli_contract.py > parent.txt
     diff parent.txt change.txt
 
+`tests/cli_contract.txt` holds this output as recorded for the current
+tree, and `tests/test_cli_contract.py` checks it in Tier-1; a change
+that deliberately moves a byte records the fixture again:
+
+    PYTHONPATH=src python scripts/cli_contract.py > tests/cli_contract.txt
+
 Takes no options; about a second on one core.
 """
 
@@ -52,8 +58,13 @@ INVOCATIONS = [
     ("transference-replicates", ["transference", "--rule", "er", "--init", "const:0.3", "--n", "150",
                                  "--t-end", "0.1", "--checkpoints", "3", "--seed", "5",
                                  "--replicates", "2"]),
+    ("trajectory-fault", ["trajectory", "--rule", "er", "--init", "const:0", "--t-end", "1",
+                          "--method", "rk4_fixed", "--step", "2"]),
     ("fixed-points", ["fixed-points", "--rule", "extremist:3"]),
+    ("fixed-points-grid-8", ["fixed-points", "--rule", "extremist:5", "--grid-n", "8"]),
+    ("fixed-points-bisect", ["fixed-points", "--rule-file", "rule.json"]),
     ("velocity-field", ["velocity-field", "--rule", "extremist:3", "--grid", "5"]),
+    ("velocity-field-21", ["velocity-field", "--rule", "extremist:3", "--grid", "21"]),
     ("periodic-demo", ["periodic-demo", "--start", "0.25,0.8", "--t-end", "2000"]),
     ("periodic-demo-rk4", ["periodic-demo", "--start", "0.25,0.8", "--t-end", "2000",
                            "--method", "rk4_fixed", "--step", "5"]),
@@ -62,6 +73,9 @@ INVOCATIONS = [
 
 CONFIG = {"rule": "complementing:3", "init": "const:0.1", "n": 80, "t-end": 0.25, "seed": 4,
           "checkpoints": 9}
+# the graph-blind rule on one pair that keeps the edge with probability 1/3: its
+# constant fixed point 1/3 lies off the default grid, so the scan bisects to it
+RULE = {"k": 2, "rows": [[f, [[0, 2 / 3], [1, 1 / 3]]] for f in (0, 1)]}
 
 
 def _sha(data: bytes) -> str:
@@ -78,14 +92,15 @@ def fingerprint(name: str, args: list[str]) -> str:
     return f"{name} exit={code} stdout={_sha(stdout.getvalue().encode())} csv={csv}"
 
 
-def main_contract() -> None:
+def fingerprints() -> list[str]:
+    """One fingerprint line per invocation, all run in one fresh temporary directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             Path("config.json").write_text(json.dumps(CONFIG))
-            for name, args in INVOCATIONS:
-                print(fingerprint(name, args), flush=True)
+            Path("rule.json").write_text(json.dumps(RULE))
+            return [fingerprint(name, args) for name, args in INVOCATIONS]
         finally:
             os.chdir(home)
 
@@ -93,4 +108,4 @@ def main_contract() -> None:
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         sys.exit("cli_contract.py takes no options")
-    main_contract()
+    print("\n".join(fingerprints()))

@@ -34,7 +34,8 @@ from .simulate import run, transference_experiment
 from .stepfun import StepGraphon, constant, load_graphon, sample_graph, two_block
 from .streams import substream
 from .trajectory import constant_fixed_points, integrate, planar_demo
-from .velocity import velocity
+from .velocity import VelocityPlan
+from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps cli.velocity)
 
 
 def _option(help: str, default=None, *, flag=None, choices=None, least=None):
@@ -266,12 +267,12 @@ def _cmd_fixed_points(cfg: ExperimentConfig) -> int:
 def _cmd_velocity_field(cfg: ExperimentConfig) -> int:
     rule = _build_rule(cfg)
     grid = np.linspace(0.0, 1.0, cfg.grid)
+    plan = VelocityPlan(rule, (0.5, 0.5))  # packed two-block states [x, y, x]
     rows = []
     for x in grid:
         for y in grid:
-            w = two_block((0.5, 0.5), float(x), float(x), float(y))
-            vel = velocity(rule, w)
-            rows.append([x, y, vel.values[0, 0], vel.values[0, 1]])
+            vel = plan(np.array([x, y, x]))
+            rows.append([x, y, vel[0], vel[1]])
     write_csv(cfg.out, ["x", "y", "vx", "vy"], rows)
     return 0
 

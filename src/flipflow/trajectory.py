@@ -19,7 +19,8 @@ from .errors import IntegrationFaultError, NonFiniteValueError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
 from .stepfun import StepGraphon, cut_norm_exact, kernel_sub, linf_dist
-from .velocity import VelocityPlan, eval_poly, velocity, velocity_poly
+from .velocity import VelocityPlan, eval_poly, velocity_poly
+from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps trajectory.velocity)
 
 DEFAULT_OPTS = IntegratorOptions()
 RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
@@ -156,7 +157,7 @@ def backward_age(
     points and other flows that survive past `max_age` report "exceeded".
     """
     plan, f, y0 = _start(rule, w0)
-    vel0 = plan.pack(velocity(rule, w0).values)
+    vel0 = plan(y0)
     touching_low = y0 <= opts.band_tol
     touching_high = y0 >= 1.0 - opts.band_tol
     # backward motion is -velocity: a 0-entry with positive velocity (or a
@@ -246,29 +247,27 @@ def constant_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) ->
 
     Scans a grid for sign changes, bisects each to `tol`, keeps endpoints
     and grid points where the velocity already vanishes, and merges roots
-    closer than 10 * tol (Bernstein double roots).
+    closer than 10 * tol (Bernstein double roots).  The grid is one array
+    evaluation, and all brackets bisect together: each halves until it is
+    no wider than `tol`, then stays put.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     poly = velocity_poly(rule)
     grid = np.linspace(0.0, 1.0, grid_n)
-    vals = np.array([eval_poly(poly, d) for d in grid])
-    roots = [float(d) for d, v in zip(grid, vals) if abs(v) < tol]
-    for i in range(grid_n - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if abs(fa) < tol or abs(fb) < tol or fa * fb > 0:
-            continue
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = eval_poly(poly, mid)
-            if fm == 0.0:
-                a = b = mid
-            elif fa * fm < 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+    vals = eval_poly(poly, grid)
+    small = np.abs(vals) < tol
+    roots = grid[small].tolist()
+    i = np.flatnonzero(~(small[:-1] | small[1:] | (vals[:-1] * vals[1:] > 0)))
+    a, b, fa = grid[i], grid[i + 1], vals[i]
+    while (live := b - a > tol).any():
+        mid = 0.5 * (a + b)
+        fm = eval_poly(poly, mid)
+        zero = fm == 0.0
+        lower = live & (zero | (fa * fm < 0))  # the root is at mid or below it
+        upper = live & (zero | ~lower)  # at mid or above it; a zero closes the bracket
+        a, fa, b = np.where(upper, mid, a), np.where(upper, fm, fa), np.where(lower, mid, b)
+    roots += (0.5 * (a + b)).tolist()
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -351,6 +350,8 @@ def planar_demo(
     p0, t_end: float, opts: IntegratorOptions = DEFAULT_OPTS, num_points: int = 400
 ) -> PlanarTrace:
     """Integrate the planar field from p0, recording a trace of the orbit."""
+    if not isfinite(t_end):
+        raise NonFiniteValueError(f"t_end must be finite, got {t_end}")
     times = np.linspace(0.0, t_end, num_points)
     start = np.array([float(p0[0]), float(p0[1])])
     if opts.method == "rk4_fixed":  # a grid on each interval, so that every point is a grid node

@@ -326,9 +326,14 @@ def velocity_poly(rule: Rule) -> VelocityPoly:
     return VelocityPoly(npairs, control, monomial)
 
 
-def eval_poly(poly: VelocityPoly, d: float) -> float:
-    """Evaluate in Bernstein form by de Casteljau (stable on [0, 1])."""
-    b = poly.bernstein.astype(float).copy()
+def eval_poly(poly: VelocityPoly, d):
+    """Evaluate in Bernstein form by de Casteljau (stable on [0, 1]).
+
+    `d` is a point (returns a float) or an array of points (returns an
+    array, each entry bitwise the value at that point alone).
+    """
+    d = np.asarray(d, dtype=float)
+    b = np.multiply.outer(poly.bernstein, np.ones(d.shape))
     for r in range(1, len(b)):
         b[: len(b) - r] = (1.0 - d) * b[: len(b) - r] + d * b[1 : len(b) - r + 1]
-    return float(b[0])
+    return float(b[0]) if d.ndim == 0 else b[0]

@@ -8,6 +8,8 @@ sums its definition term by term, and block averages loop over ordered
 vertex pairs.  The sequential stepper replays the simulator's block
 draws one flip at a time, and the drift oracle the drift harness's draws
 one sample at a time, both with `bisect_right` on the replacement table.
+The fixed-point scan evaluates the velocity polynomial one grid point at
+a time and bisects one bracket at a time.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, induced_pattern, pair_list
+from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, induced_pattern, pair_list, velocity_poly
 from flipflow.graphs import pair_position
 from flipflow.simulate import _BLOCK
 from flipflow.streams import substream
@@ -255,6 +257,44 @@ def sequential_drift(rule: Rule, graph, parts, samples: int, seed: int):
     deltas = np.array(deltas)
     n2 = n * (n - 1)
     return float(n2 * deltas.mean()), float(n2 * deltas.std(ddof=1) / np.sqrt(samples))
+
+
+def scalar_eval_poly(poly, d: float) -> float:
+    """De Casteljau in Bernstein form at one point."""
+    b = poly.bernstein.astype(float).copy()
+    for r in range(1, len(b)):
+        b[: len(b) - r] = (1.0 - d) * b[: len(b) - r] + d * b[1 : len(b) - r + 1]
+    return float(b[0])
+
+
+def scalar_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) -> list[float]:
+    """Constant fixed points by a per-point scan, one bisection per sign
+    change, and the merge of roots closer than 10 * tol."""
+    poly = velocity_poly(rule)
+    grid = np.linspace(0.0, 1.0, grid_n)
+    vals = np.array([scalar_eval_poly(poly, d) for d in grid])
+    roots = [float(d) for d, v in zip(grid, vals) if abs(v) < tol]
+    for i in range(grid_n - 1):
+        a, b = grid[i], grid[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if abs(fa) < tol or abs(fb) < tol or fa * fb > 0:
+            continue
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = scalar_eval_poly(poly, mid)
+            if fm == 0.0:
+                a = b = mid
+            elif fa * fm < 0:
+                b, fb = mid, fm
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    roots.sort()
+    merged: list[float] = []
+    for r in roots:
+        if not merged or r - merged[-1] > 10 * tol:
+            merged.append(r)
+    return merged
 
 
 def graph_components(g: LabeledGraph) -> int:

@@ -312,6 +312,15 @@ def test_simulate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_periodic_demo_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
+    out = tmp_path / "o.csv"
+    args = ["periodic-demo", "--start", "0.25,0.8", "--t-end", t_end, "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"error: t_end must be finite, got {t_end}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, name, value", [("--t-end", "t_end", "-0.5"), ("--steps", "steps", "-5")])
 def test_simulate_names_a_negative_length(tmp_path, capsys, flag, name, value):
     out = tmp_path / "o.csv"

@@ -8,6 +8,7 @@ from flipflow import (
     IntegrationFaultError,
     IntegratorOptions,
     NonFiniteValueError,
+    Rule,
     StepGraphon,
     VelocityPlan,
     backward_age,
@@ -38,7 +39,7 @@ from flipflow.trajectory import (
     CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _field, _genome_check, _start,
 )
 
-from conftest import random_graphon
+from conftest import random_graphon, random_rule, scalar_fixed_points
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -109,6 +110,8 @@ def test_integrate_and_flow_at_reject_non_finite_times(bad):
         integrate(ER, constant(0.2), bad)
     with pytest.raises(NonFiniteValueError):
         flow_at(ER, constant(0.2), bad)
+    with pytest.raises(NonFiniteValueError, match="t_end must be finite"):
+        planar_demo((0.25, 0.8), bad)
 
 
 def test_rhs_rejects_states_outside_the_band_and_nan():
@@ -201,6 +204,33 @@ def test_constant_fixed_points():
             assert any(abs(r - want) <= 1e-8 for r in roots)
     for builder in BUILTIN_RULES.values():
         assert constant_fixed_points(builder())  # non-empty
+
+
+def _alternating_rule() -> Rule:
+    """k = 3: the mean edge change from 0, 1, 2, 3 edges alternates in
+    sign, so three roots lie inside (0, 1), none on a grid."""
+    rows = {0: [(0, 0.7), (1, 0.3)], 7: [(3, 0.1), (7, 0.9)]}
+    rows.update({f: [(0, 0.5), (f, 0.5)] for f in (1, 2, 4)})
+    rows.update({f: [(f, 0.6), (7, 0.4)] for f in (3, 5, 6)})
+    return Rule.from_row_map(3, rows)
+
+
+@pytest.mark.parametrize("grid_n", [2, 7, 1001])
+def test_constant_fixed_points_equal_the_scalar_scan(grid_n):
+    rng = np.random.default_rng(16)
+    rules = [builder() for builder in BUILTIN_RULES.values()]
+    rules += [random_rule(rng, k) for k in (2, 3, 3, 4)]
+    rules += [ignorant_rule(2, [2 / 3, 1 / 3]), _alternating_rule()]
+    for rule in rules:
+        assert constant_fixed_points(rule, grid_n=grid_n) == scalar_fixed_points(rule, grid_n)
+
+
+def test_an_off_grid_fixed_point_is_bisected():
+    # keeping the edge with probability 1/3 whatever was drawn: V(d) = 2 (1/3 - d)
+    roots = constant_fixed_points(ignorant_rule(2, [2 / 3, 1 / 3]))
+    assert len(roots) == 1 and abs(roots[0] - 1 / 3) <= 1e-10
+    assert 1 / 3 not in np.linspace(0.0, 1.0, 1001)
+    assert len(constant_fixed_points(_alternating_rule())) == 3
 
 
 def test_genome_check():

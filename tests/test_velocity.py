@@ -33,7 +33,7 @@ from flipflow.rules import deltas
 from flipflow.trajectory import _field
 from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard
 
-from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule
+from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule, scalar_eval_poly
 
 
 def identity_rule(k):
@@ -68,6 +68,20 @@ def test_velocity_poly_forms():
     ext = velocity_poly(extremist_rule(3))
     for d in (0.0, 0.3, 0.5, 0.77, 1.0):
         assert eval_poly(ext, d) == pytest.approx(6 * d * (1 - d) * (2 * d - 1), abs=1e-13)
+
+
+def test_eval_poly_on_an_array_is_bitwise_pointwise():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 1001)
+    rules = [builder() for builder in BUILTIN_RULES.values()] + [random_rule(rng, k) for k in (2, 3, 4)]
+    for rule in rules:
+        poly = velocity_poly(rule)
+        vals = eval_poly(poly, grid)
+        pointwise = [eval_poly(poly, float(d)) for d in grid]
+        assert all(type(v) is float for v in pointwise)
+        assert vals.tobytes() == np.array(pointwise).tobytes()
+        assert vals.tobytes() == np.array([scalar_eval_poly(poly, d) for d in grid]).tobytes()
+    assert eval_poly(poly, grid.reshape(7, 143)).tobytes() == vals.tobytes()
 
 
 def test_poly_endpoint_signs():
