@@ -7,15 +7,16 @@ differences live here).  The module also provides subgraph densities,
 rooted induced densities, cut norms and distances, graph sampling, and
 the block counts and block-averaged graphon of a finite simulation graph.
 
-A density is one tensor contraction over the part of each vertex: a
-mass vector per free vertex times a value (or complement) factor per
-pattern pair.  The exact cut norm reads every row subset's column sums
-from a (2^m, m) table that doubles once per row.
+A density sums, over the part of each vertex, a mass per free vertex
+times a value (or complement) factor per pattern pair.  It eliminates
+the last two vertices by one matrix product and broadcasts the others,
+so its largest array has m^(k-1) elements.  The exact cut norm reads
+every row subset's column sums from a (2^m, m) table that doubles once
+per row.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -28,7 +29,6 @@ VALUE_BAND = 1e-9  # allowed numeric excursion outside [0, 1]
 
 DENSITY_GUARD = 10**8  # maximum m**k assignments a density contracts
 CUT_EXACT_GUARD = 14  # maximum part count for exact cut norm
-CUT_PERM_GUARD = 8  # maximum part count for permutation cut distance
 
 
 def check_masses(masses: np.ndarray) -> None:
@@ -109,30 +109,56 @@ def two_block(masses, x_diag1: float, x_diag2: float, y_off: float) -> StepGraph
 def _contract(pattern: LabeledGraph, w: StepKernel, induced: bool, pinned=None) -> float:
     """Sum over part assignments of mass products times pattern factors.
 
-    One tensor contraction: a mass vector per free vertex and, per
-    pattern pair, the value matrix (an edge), its complement (a non-edge
-    when `induced`) or nothing.  `pinned` maps vertices to fixed parts,
-    which index the pair factors instead of carrying a mass.  The guard
-    prices m to the power of the free vertex count (at least one).
+    Each free vertex contributes its mass vector and each pattern pair
+    the value matrix (an edge), its complement (a non-edge when
+    `induced`) or nothing.  `pinned` maps vertices to fixed parts: a
+    pinned vertex's axis is a one-part slice of its pair factors and
+    carries no mass.  Vertices are ordered pinned first, so the last
+    two, x and y, are free where possible, and one matrix product
+    eliminates them: the masses and pairs among the others broadcast
+    into `prefix`, a weight over their cells; the pairs reaching x
+    multiply into `to_x` and those reaching y into `to_y`, each
+    (cells, m); the sum is prefix . rowsum((to_x @ f_xy) * to_y).  The
+    largest array has m^(k-1) elements.  The guard prices m to the power
+    of the free vertex count (at least one).
     """
     pinned = pinned or {}
-    free = max(pattern.k - len(pinned), 1)
+    k = pattern.k
+    free = max(k - len(pinned), 1)
     if w.m**free > DENSITY_GUARD:
         raise GuardExceededError(
             f"density enumeration needs {w.m}**{free} assignments "
             f"(> {DENSITY_GUARD}); coarsen the graphon first"
         )
     comp = 1.0 - w.values if induced else None
-    operands = []
-    for v in range(pattern.k):
-        if v not in pinned:
-            operands += [w.masses, [v]]
-    for p, pair in enumerate(pair_list(pattern.k)):
+    order = sorted(range(k), key=lambda v: v not in pinned)
+    axis = {v: i for i, v in enumerate(order)}
+    cut = {v: slice(pinned[v], pinned[v] + 1) if v in pinned else slice(None) for v in order}
+    mass = [np.ones(1) if v in pinned else w.masses for v in order]
+    sizes = [len(m) for m in mass]
+    prefix = np.ones(())
+    for m in mass[:-2]:
+        prefix = np.multiply.outer(prefix, m)
+    to_x = np.ones(sizes[:-1])
+    to_y = np.ones(sizes[:-2] + sizes[-1:])
+    f_xy = np.outer(mass[-2], mass[-1])
+    for p, (a, b) in enumerate(pair_list(k)):
         factor = w.values if pattern.edges >> p & 1 else comp
-        if factor is not None:
-            index = tuple(pinned.get(v, slice(None)) for v in pair)
-            operands += [factor[index], [v for v in pair if v not in pinned]]
-    return float(np.einsum(*operands, [], optimize=True))
+        if factor is None:
+            continue
+        factor = factor[cut[a], cut[b]]
+        if axis[a] > axis[b]:
+            a, b, factor = b, a, factor.T
+        i, j = axis[a], axis[b]
+        if i == k - 2:
+            f_xy *= factor
+            continue
+        dims = [1] * (k - 1)
+        dims[i], dims[min(j, k - 2)] = factor.shape
+        target = prefix if j < k - 2 else to_x if j == k - 2 else to_y
+        target *= factor.reshape(dims[: target.ndim])
+    rows = (to_x.reshape(-1, sizes[-2]) @ f_xy) * to_y.reshape(-1, sizes[-1])
+    return float(prefix.reshape(-1) @ rows.sum(axis=1))
 
 
 def density(pattern: LabeledGraph, w: StepKernel) -> float:
@@ -258,33 +284,6 @@ def cut_norm_lower_bound(k: StepKernel, restarts: int = 64, seed: int = 0) -> fl
         t[t_rows, idx[~rows_mask] - m] ^= True
     totals = np.einsum("ri,ij,rj->r", s.astype(float), weighted, t.astype(float))
     return float(np.max(np.abs(totals))) if restarts > 0 else 0.0
-
-
-def _cut_distance_perm(u: StepKernel, w: StepKernel) -> float:
-    """Upper bound on the cut distance via part relabelings.
-
-    Minimizes the exact cut norm of u - w∘sigma over mass-preserving part
-    permutations sigma; restricted to relabelings, so the value is an
-    upper bound on the full rearrangement distance.
-    """
-    if u.m != w.m or not np.allclose(
-        np.sort(u.masses), np.sort(w.masses), rtol=0.0, atol=MASS_TOL
-    ):
-        raise MassMismatchError("part mass multisets differ")
-    m = u.m
-    if m > CUT_PERM_GUARD:
-        raise GuardExceededError(
-            f"permutation cut distance enumerates {m}! relabelings (cap m = {CUT_PERM_GUARD})"
-        )
-    best = np.inf
-    for perm in itertools.permutations(range(m)):
-        perm = list(perm)
-        if not np.allclose(w.masses[perm], u.masses, rtol=0.0, atol=MASS_TOL):
-            continue
-        permuted = w.values[np.ix_(perm, perm)]
-        diff = StepKernel(u.masses, u.values - permuted)
-        best = min(best, cut_norm_exact(diff))
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

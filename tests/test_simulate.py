@@ -84,6 +84,12 @@ def test_run_zero_steps_returns_initial_state_only():
     assert np.allclose(out[0][1].values, stepped(g).values)
 
 
+def test_run_rejects_a_checkpoint_beyond_total_steps():
+    g = sample_graph(25, constant(0.5), substream(2, "init"))
+    with pytest.raises(ValueError, match=r"checkpoints must lie in \[0, total_steps\]"):
+        run(ER, g, total_steps=10, checkpoint_steps=[0, 11], seed=3)
+
+
 def test_run_is_deterministic():
     g = sample_graph(60, constant(0.3), substream(4, "init"))
     a = ProcessState(TR, g.copy(), seed=11)

@@ -33,7 +33,7 @@ from flipflow import (
     substream,
     two_block,
 )
-from flipflow.stepfun import _cut_distance_perm, _rooted_induced_density
+from flipflow.stepfun import _rooted_induced_density
 from conftest import (
     brute_cut_norm,
     brute_density,
@@ -97,6 +97,31 @@ def test_density_against_brute_force(rng):
             )
 
 
+def test_elimination_against_brute_force_at_every_order(rng):
+    # the last two vertices are eliminated by one matrix product, the rest
+    # broadcast; the empty and complete patterns bound the factor counts
+    cases = [(6, 2), (6, 3), (4, 4), (4, 5), (5, 4), (5, 5)] + [(k, 1) for k in range(2, 7)]
+    for k, m in cases:
+        w = random_graphon(rng, m)
+        full = (1 << comb(k, 2)) - 1
+        for e in [0, full, *rng.integers(full, size=2)]:
+            g = LabeledGraph(k, int(e))
+            assert density(g, w) == pytest.approx(brute_density(g, w, False), abs=1e-12)
+            assert induced_density(g, w) == pytest.approx(
+                brute_density(g, w, True), abs=1e-12
+            )
+
+
+def test_density_of_a_kernel_with_negative_values(rng):
+    # a pair absent from a non-induced pattern contributes no factor
+    for k, m in ((3, 4), (4, 3), (5, 3), (6, 2)):
+        kern = random_kernel(rng, m, scale=0.5)
+        assert (kern.values < 0).any()
+        for e in rng.integers(1 << comb(k, 2), size=3):
+            g = LabeledGraph(k, int(e))
+            assert density(g, kern) == pytest.approx(brute_density(g, kern, False), abs=1e-12)
+
+
 def test_density_guard():
     big = StepGraphon(np.full(40, 1 / 40), np.full((40, 40), 0.5))
     with pytest.raises(GuardExceededError):
@@ -139,6 +164,22 @@ def test_rooted_density_against_brute_force(rng):
                     assert _rooted_induced_density(g, roots, parts, w) == pytest.approx(
                         brute_rooted(g, roots, parts, w), abs=1e-12
                     )
+
+
+def test_rooted_elimination_whichever_vertices_are_pinned(rng):
+    # pinned vertices are ordered first, so roots late, early and against
+    # pair order all reorder the axes
+    k = 5
+    w = random_graphon(rng, 3)
+    for e in rng.integers(1 << comb(k, 2), size=4):
+        g = LabeledGraph(k, int(e))
+        for roots in ((k - 1, k - 2), (0, k - 1), (1, 0)):
+            for parts in ((2, 2), (0, 2)):
+                assert _rooted_induced_density(g, roots, parts, w) == pytest.approx(
+                    brute_rooted(g, roots, parts, w), abs=1e-12
+                )
+    with pytest.raises(ValueError, match="roots must be distinct vertices"):
+        _rooted_induced_density(g, (1, 1), (0, 0), w)
 
 
 def test_rooted_supergraph_sum_matches_plain_rooted_density(rng):
@@ -242,18 +283,9 @@ def test_norm_ordering(rng):
         assert l1 <= linf + 1e-12
 
 
-def test_cut_distance_perm():
-    w1 = StepGraphon([0.5, 0.5], [[0.9, 0.2], [0.2, 0.4]])
-    w2 = StepGraphon([0.5, 0.5], [[0.4, 0.2], [0.2, 0.9]])
-    assert _cut_distance_perm(w1, w2) == pytest.approx(0.0, abs=1e-15)
-    assert _cut_distance_perm(constant(0.3), constant(0.8)) == pytest.approx(0.5)
-    direct = cut_norm_exact(kernel_sub(w1, w2))
-    assert 0.0 <= _cut_distance_perm(w1, w2) <= direct + 1e-15
-    with pytest.raises(MassMismatchError):
-        _cut_distance_perm(constant(0.5), two_block((0.5, 0.5), 0.5, 0.5, 0.5))
-    big = StepGraphon(np.full(9, 1 / 9), np.full((9, 9), 0.5))
-    with pytest.raises(GuardExceededError):
-        _cut_distance_perm(big, big)
+def test_sample_graph_needs_a_vertex():
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        sample_graph(0, constant(0.5), substream(5, "sample"))
 
 
 def test_sample_graph_extremes_and_concentration():

@@ -122,6 +122,26 @@ def test_rhs_rejects_states_outside_the_band_and_nan():
             f(np.array(bad))
 
 
+@pytest.mark.parametrize(
+    "opts", [IntegratorOptions(), IntegratorOptions(method="rk4_fixed", step=0.01)]
+)
+def test_the_integrator_raises_when_a_state_leaves_the_band(opts):
+    # y = 0.5 - t leaves [0, 1] at t = 0.5; no state is clamped back
+    with pytest.raises(IntegrationFaultError, match=r"left the \[0,1\] band"):
+        integrate_span(lambda y: -np.ones_like(y), [0.5], 0.0, 1.0, opts, band=True)
+
+
+def test_integrate_and_semigroup_check_reject_bad_times():
+    with pytest.raises(ValueError, match="integrate records forward trajectories"):
+        integrate(ER, constant(0.2), -0.5)
+    for times in ([-0.1, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"checkpoint times must lie in \[0, t_end\]"):
+            integrate(ER, constant(0.2), 1.0, times)
+    for t, u in ((-0.1, 0.5), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="semigroup check uses non-negative times"):
+            semigroup_check(ER, constant(0.2), t, u)
+
+
 def test_a_nan_error_estimate_ends_in_the_underflow_fault():
     # a field that turns NaN past 0.5: the step shrinks there instead of growing without end
     with pytest.raises(IntegrationFaultError, match="underflow"):

@@ -111,6 +111,11 @@ def test_monte_carlo_trivial_rule_exact_zero():
     assert mc.estimate == 0.0
 
 
+def test_monte_carlo_needs_at_least_one_sample():
+    with pytest.raises(ValueError, match="need at least one sample"):
+        velocity_monte_carlo(identity_rule(3), constant(0.4), (0, 0), 0, seed=1)
+
+
 def test_monte_carlo_matches_exact():
     tr = triangle_removal_rule()
     mc = velocity_monte_carlo(tr, constant(0.5), (0, 0), 100_000, seed=2)
