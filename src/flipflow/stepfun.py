@@ -4,11 +4,11 @@ A step function is determined by part masses (positive, summing to 1)
 and a symmetric value matrix.  Step graphons carry values in [0, 1] up to
 a small numeric band; step kernels are unrestricted (velocities and
 differences live here).  The module also provides subgraph densities,
-rooted induced densities, cut norms and distances, graph sampling, and
-the block counts and block-averaged graphon of a finite simulation graph.
+cut norms and distances, graph sampling, and the block counts and
+block-averaged graphon of a finite simulation graph.
 
-A density sums, over the part of each vertex, a mass per free vertex
-times a value (or complement) factor per pattern pair.  It eliminates
+A density sums, over the part of each vertex, a mass per vertex times
+a value (or complement) factor per pattern pair.  It eliminates
 the last two vertices by one matrix product and broadcasts the others,
 so its largest array has m^(k-1) elements.  The exact cut norm reads
 every row subset's column sums from a (2^m, m) table that doubles once
@@ -106,58 +106,43 @@ def two_block(masses, x_diag1: float, x_diag2: float, y_off: float) -> StepGraph
 # Densities
 
 
-def _contract(pattern: LabeledGraph, w: StepKernel, induced: bool, pinned=None) -> float:
+def _contract(pattern: LabeledGraph, w: StepKernel, induced: bool) -> float:
     """Sum over part assignments of mass products times pattern factors.
 
-    Each free vertex contributes its mass vector and each pattern pair
-    the value matrix (an edge), its complement (a non-edge when
-    `induced`) or nothing.  `pinned` maps vertices to fixed parts: a
-    pinned vertex's axis is a one-part slice of its pair factors and
-    carries no mass.  Vertices are ordered pinned first, so the last
-    two, x and y, are free where possible, and one matrix product
-    eliminates them: the masses and pairs among the others broadcast
-    into `prefix`, a weight over their cells; the pairs reaching x
-    multiply into `to_x` and those reaching y into `to_y`, each
-    (cells, m); the sum is prefix . rowsum((to_x @ f_xy) * to_y).  The
-    largest array has m^(k-1) elements.  The guard prices m to the power
-    of the free vertex count (at least one).
+    Each vertex contributes its mass vector and each pattern pair the
+    value matrix (an edge), its complement (a non-edge when `induced`) or
+    nothing.  One matrix product eliminates the last two vertices, x and
+    y: the masses and pairs among the others broadcast into `prefix`, a
+    weight over their cells; the pairs reaching x multiply into `to_x`
+    and those reaching y into `to_y`, each (cells, m); the sum is
+    prefix . rowsum((to_x @ f_xy) * to_y).  The largest array has
+    m^(k-1) elements.
     """
-    pinned = pinned or {}
-    k = pattern.k
-    free = max(k - len(pinned), 1)
-    if w.m**free > DENSITY_GUARD:
+    k, m = pattern.k, w.m
+    if m**k > DENSITY_GUARD:
         raise GuardExceededError(
-            f"density enumeration needs {w.m}**{free} assignments "
+            f"density enumeration needs {m}**{k} assignments "
             f"(> {DENSITY_GUARD}); coarsen the graphon first"
         )
     comp = 1.0 - w.values if induced else None
-    order = sorted(range(k), key=lambda v: v not in pinned)
-    axis = {v: i for i, v in enumerate(order)}
-    cut = {v: slice(pinned[v], pinned[v] + 1) if v in pinned else slice(None) for v in order}
-    mass = [np.ones(1) if v in pinned else w.masses for v in order]
-    sizes = [len(m) for m in mass]
     prefix = np.ones(())
-    for m in mass[:-2]:
-        prefix = np.multiply.outer(prefix, m)
-    to_x = np.ones(sizes[:-1])
-    to_y = np.ones(sizes[:-2] + sizes[-1:])
-    f_xy = np.outer(mass[-2], mass[-1])
+    for _ in range(k - 2):
+        prefix = np.multiply.outer(prefix, w.masses)
+    to_x = np.ones((m,) * (k - 1))
+    to_y = np.ones((m,) * (k - 1))
+    f_xy = np.outer(w.masses, w.masses)
     for p, (a, b) in enumerate(pair_list(k)):
         factor = w.values if pattern.edges >> p & 1 else comp
         if factor is None:
             continue
-        factor = factor[cut[a], cut[b]]
-        if axis[a] > axis[b]:
-            a, b, factor = b, a, factor.T
-        i, j = axis[a], axis[b]
-        if i == k - 2:
+        if a == k - 2:
             f_xy *= factor
             continue
         dims = [1] * (k - 1)
-        dims[i], dims[min(j, k - 2)] = factor.shape
-        target = prefix if j < k - 2 else to_x if j == k - 2 else to_y
+        dims[a], dims[min(b, k - 2)] = m, m
+        target = prefix if b < k - 2 else to_x if b == k - 2 else to_y
         target *= factor.reshape(dims[: target.ndim])
-    rows = (to_x.reshape(-1, sizes[-2]) @ f_xy) * to_y.reshape(-1, sizes[-1])
+    rows = (to_x.reshape(-1, m) @ f_xy) * to_y.reshape(-1, m)
     return float(prefix.reshape(-1) @ rows.sum(axis=1))
 
 
@@ -169,22 +154,6 @@ def density(pattern: LabeledGraph, w: StepKernel) -> float:
 def induced_density(pattern: LabeledGraph, w: StepKernel) -> float:
     """Like density but non-edges must also be respected."""
     return _contract(pattern, w, induced=True)
-
-
-def _rooted_induced_density(
-    pattern: LabeledGraph, roots, parts, w: StepKernel
-) -> float:
-    """Induced density with two root vertices pinned to fixed parts.
-
-    `roots` is an ordered pair (a, b) of distinct pattern vertices and
-    `parts` the pair of part indices they are pinned to; the remaining
-    k - 2 vertices are averaged over the part measure.  The pinned pair's
-    own edge/non-edge factor is included.
-    """
-    a, b = roots
-    if a == b:
-        raise ValueError("roots must be distinct vertices")
-    return _contract(pattern, w, induced=True, pinned={a: parts[0], b: parts[1]})
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,15 @@ that along a flow, where the masses never change, each evaluation is a
 gather of the packed upper-triangle values, a pattern-weighted sum and
 one bincount back into packed blocks.
 
+The pattern-weighted sum runs over the support of Cbar when few rows are
+nonzero, else over all 2**P patterns (P = C(k, 2)) in two stages: P(F)
+is the probability of F's low h = P // 2 pair bits times that of its
+high bits, so a matmul with the low half-distribution contracts Cbar to
+(2**(P-h), P) partial sums per multiset and a batched matmul with the
+high half ends it.  The guard prices per multiset the two halves and the
+partial sums, 2**h + 2**(P-h) * (P + 1) elements (384 at k = 5, not the
+2**P = 1024 of the full distribution).
+
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
 edge-change sequence; that polynomial is an independent code path used
@@ -50,7 +59,7 @@ from .stepfun import StepGraphon, StepKernel, check_masses
 from .streams import substream
 
 VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
-_CHUNK_ELEMS = 1 << 23  # cap on rows * 2**npairs per vectorized chunk
+_CHUNK_ELEMS = 1 << 23  # cap on rows * row_elems per vectorized chunk
 
 
 def _ordered_pairs(k: int):
@@ -77,13 +86,15 @@ class _PatternTable:
     """The averaged coefficient rows a pattern sum needs, and how to sum.
 
     Graphs with an all-zero row cost nothing: when the nonzero support is
-    small the sum runs over it directly (`bits` holds the support's edge
-    indicators), otherwise (`bits` is None) over the full distribution of
-    patterns, built by a doubling cascade, and `table` keeps every row.
+    small the sum runs over it directly (`bits` holds one table, the
+    support's edge indicators).  Otherwise it runs over every pattern in
+    two stages: the P pair bits split into the low h = P // 2 and the high
+    P - h, `bits` holds the edge indicators of each half, and `table`
+    holds all rows as coupled[lo, hi * P + p] = Cbar[lo + 2**h * hi, p].
     """
 
     table: np.ndarray
-    bits: np.ndarray | None
+    bits: tuple  # (support bits,) or (low-half bits, high-half bits)
     row_elems: int  # array elements per multiset while summing
 
 
@@ -102,7 +113,7 @@ def _pattern_table(rule: Rule) -> _PatternTable:
     pairs = pair_list(k)
     table = np.array(pair_coefficients(rule))
     ngraphs, npairs = table.shape
-    bits = (np.arange(ngraphs)[:, None] >> np.arange(npairs)) & 1
+    bits = _bit_table(npairs)
     for j in range(1, k):
         total = table.copy()
         for i in range(j):
@@ -115,13 +126,15 @@ def _pattern_table(rule: Rule) -> _PatternTable:
 
     support = np.flatnonzero(np.any(table != 0.0, axis=1))
     if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
-        bits = ((support[:, None] >> np.arange(npairs)) & 1).astype(bool)
-        out = _PatternTable(table[support], bits, max(len(support) * npairs, 1))
+        out = _PatternTable(table[support], (bits[support],), max(len(support) * npairs, 1))
     else:
-        out = _PatternTable(table, None, ngraphs)
-    for arr in (out.table, out.bits):
-        if arr is not None:
-            arr.flags.writeable = False
+        h = npairs // 2
+        low, high = 1 << h, 1 << npairs - h
+        coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
+        halves = (_bit_table(h), _bit_table(npairs - h))
+        out = _PatternTable(coupled, halves, low + high * (1 + npairs))
+    for arr in (out.table, *out.bits):
+        arr.flags.writeable = False
     rule._pattern_table = out
     return out
 
@@ -195,7 +208,7 @@ class VelocityPlan:
         self._weights = enum.factor * weight[:, None] / (masses[enum.first] * masses[enum.second])
         self._table = patterns.table
         self._bits = patterns.bits
-        self._pattern_sum = self._cascade if patterns.bits is None else self._support_sum
+        self._pattern_sum = self._support_sum if len(self._bits) == 1 else self._two_stage
         chunk = max(1, _CHUNK_ELEMS // patterns.row_elems)
         total = len(self._cells)
         self._chunks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
@@ -221,17 +234,29 @@ class VelocityPlan:
 
     def _support_sum(self, edge_probs: np.ndarray) -> np.ndarray:
         """sum over the support F of P(F | multiset) * Cbar[F]."""
-        probs = edge_probs[:, None, :]
-        patterns = np.where(self._bits, probs, 1.0 - probs).prod(axis=2)
-        return patterns @ self._table
+        return _pattern_probs(edge_probs, self._bits[0]) @ self._table
 
-    def _cascade(self, edge_probs: np.ndarray) -> np.ndarray:
-        """The full pattern distribution per multiset, times Cbar."""
-        dist = np.ones((len(edge_probs), 1))
-        for p in range(edge_probs.shape[1]):
-            col = edge_probs[:, p : p + 1]
-            dist = np.concatenate((dist * (1.0 - col), dist * col), axis=1)
-        return dist @ self._table
+    def _two_stage(self, edge_probs: np.ndarray) -> np.ndarray:
+        """sum over all F of P(F | multiset) * Cbar[F]: the low half of P(F)
+        contracts `table` to (rows, 2**(P-h), P), the high half to (rows, P).
+        """
+        low_bits, high_bits = self._bits
+        h = low_bits.shape[1]
+        low = _pattern_probs(edge_probs[:, :h], low_bits)
+        high = _pattern_probs(edge_probs[:, h:], high_bits)
+        partial = (low @ self._table).reshape(len(edge_probs), len(high_bits), -1)
+        return (high[:, None, :] @ partial)[:, 0]
+
+
+def _pattern_probs(edge_probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """P(pattern | multiset) for each row of edge indicators `bits`."""
+    probs = edge_probs[:, None, :]
+    return np.where(bits, probs, 1.0 - probs).prod(axis=2)
+
+
+def _bit_table(n: int) -> np.ndarray:
+    """(2**n, n) edge indicators: row g holds the bits of g."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 def velocity(rule: Rule, w: StepGraphon) -> StepKernel:
@@ -300,30 +325,15 @@ class VelocityPoly:
     """Velocity restricted to constant graphons, as a polynomial.
 
     `bernstein[ell]` is the control value 2 * delta_ell of the basis
-    function C(P, ell) d**ell (1-d)**(P-ell); `monomial[j]` is the
-    coefficient of d**j in the expanded form.
+    function C(P, ell) d**ell (1-d)**(P-ell).
     """
 
     degree: int
     bernstein: np.ndarray
-    monomial: np.ndarray
-
-    def __call__(self, d: float) -> float:
-        return eval_poly(self, d)
 
 
 def velocity_poly(rule: Rule) -> VelocityPoly:
-    npairs = comb(rule.k, 2)
-    control = 2.0 * deltas(rule)
-    monomial = np.zeros(npairs + 1)
-    # expand sum_ell control_ell C(P,ell) d^ell (1-d)^(P-ell)
-    for ell in range(npairs + 1):
-        if control[ell] == 0.0:
-            continue
-        binom = comb(npairs, ell)
-        for r in range(npairs - ell + 1):
-            monomial[ell + r] += control[ell] * binom * comb(npairs - ell, r) * (-1) ** r
-    return VelocityPoly(npairs, control, monomial)
+    return VelocityPoly(comb(rule.k, 2), 2.0 * deltas(rule))
 
 
 def eval_poly(poly: VelocityPoly, d):

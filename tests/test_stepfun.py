@@ -33,11 +33,9 @@ from flipflow import (
     substream,
     two_block,
 )
-from flipflow.stepfun import _rooted_induced_density
 from conftest import (
     brute_cut_norm,
     brute_density,
-    brute_rooted,
     random_graphon,
     random_graphon_pair,
     random_kernel,
@@ -126,77 +124,6 @@ def test_density_guard():
     big = StepGraphon(np.full(40, 1 / 40), np.full((40, 40), 0.5))
     with pytest.raises(GuardExceededError):
         density(LabeledGraph.from_index(6, 0), big)
-
-
-def test_rooted_density_basics(rng):
-    tb = two_block((0.4, 0.6), 0.9, 0.2, 0.5)
-    empty2 = LabeledGraph.from_index(2, 0)
-    for i in range(2):
-        for j in range(2):
-            assert _rooted_induced_density(EDGE2, (0, 1), (i, j), tb) == pytest.approx(
-                tb.values[i, j]
-            )
-            assert _rooted_induced_density(empty2, (0, 1), (i, j), tb) == pytest.approx(
-                1 - tb.values[i, j]
-            )
-    # distribution over patterns: sums to one for every root/part pair
-    for _ in range(3):
-        w = random_graphon(rng, 3)
-        for roots in ((0, 1), (2, 0)):
-            for parts in ((0, 0), (1, 2)):
-                total = sum(
-                    _rooted_induced_density(g, roots, parts, w)
-                    for g in enumerate_graphs(3)
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rooted_density_against_brute_force(rng):
-    # roots in and against pair order, parts on one block and on two
-    w = random_graphon(rng, 3)
-    for k in (2, 3, 4):
-        patterns = enumerate_graphs(k) if k < 4 else [
-            LabeledGraph(k, int(e)) for e in rng.integers(1 << comb(k, 2), size=8)
-        ]
-        for g in patterns:
-            for roots in ((0, 1), (1, 0), (k - 1, 0)):
-                for parts in ((0, 1), (2, 2), (2, 0)):
-                    assert _rooted_induced_density(g, roots, parts, w) == pytest.approx(
-                        brute_rooted(g, roots, parts, w), abs=1e-12
-                    )
-
-
-def test_rooted_elimination_whichever_vertices_are_pinned(rng):
-    # pinned vertices are ordered first, so roots late, early and against
-    # pair order all reorder the axes
-    k = 5
-    w = random_graphon(rng, 3)
-    for e in rng.integers(1 << comb(k, 2), size=4):
-        g = LabeledGraph(k, int(e))
-        for roots in ((k - 1, k - 2), (0, k - 1), (1, 0)):
-            for parts in ((2, 2), (0, 2)):
-                assert _rooted_induced_density(g, roots, parts, w) == pytest.approx(
-                    brute_rooted(g, roots, parts, w), abs=1e-12
-                )
-    with pytest.raises(ValueError, match="roots must be distinct vertices"):
-        _rooted_induced_density(g, (1, 1), (0, 0), w)
-
-
-def test_rooted_supergraph_sum_matches_plain_rooted_density(rng):
-    # non-induced rooted density equals the induced one summed over all
-    # supergraphs inside the same order
-    w = random_graphon(rng, 3)
-    k = 3
-    for f in enumerate_graphs(k):
-        for roots in ((0, 1), (1, 2)):
-            for parts in ((0, 2), (1, 1)):
-                direct = brute_rooted(f, roots, parts, w, induced=False)
-                total = sum(
-                    _rooted_induced_density(h, roots, parts, w)
-                    for h in enumerate_graphs(k)
-                    if h.edges & f.edges == f.edges
-                )
-                assert total == pytest.approx(direct, abs=1e-12)
 
 
 def test_cut_norm_exact_closed_forms():

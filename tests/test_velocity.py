@@ -31,7 +31,8 @@ from flipflow import (
 from flipflow import BUILTIN_RULES, LabeledGraph
 from flipflow.rules import deltas
 from flipflow.trajectory import _field
-from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard
+from flipflow.rules import make_rule
+from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard, _pattern_table
 
 from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule, scalar_eval_poly
 
@@ -62,9 +63,10 @@ def test_velocity_on_constants_closed_forms():
 
 def test_velocity_poly_forms():
     er_poly = velocity_poly(erdos_renyi_rule())
-    assert np.allclose(er_poly.monomial, [2.0, -2.0])
     tr_poly = velocity_poly(triangle_removal_rule())
-    assert np.allclose(tr_poly.monomial, [0.0, 0.0, 0.0, -6.0])
+    for d in (0.0, 0.25, 0.5, 0.9, 1.0):
+        assert eval_poly(er_poly, d) == pytest.approx(2 - 2 * d, abs=1e-13)
+        assert eval_poly(tr_poly, d) == pytest.approx(-6 * d**3, abs=1e-13)
     ext = velocity_poly(extremist_rule(3))
     for d in (0.0, 0.3, 0.5, 0.77, 1.0):
         assert eval_poly(ext, d) == pytest.approx(6 * d * (1 - d) * (2 * d - 1), abs=1e-13)
@@ -192,27 +194,31 @@ def test_velocity_guard():
         return StepGraphon(np.full(m, 1 / m), np.full((m, m), 0.5))
 
     # the guard prices C(m+k-1, k) multisets times (row_elems + k +
-    # 5 C(k,2)) elements: extremist:5 (1024 pattern rows) first exceeds it
-    # at 25 parts, an idle order-6 rule (one element) at 30 parts
+    # 5 C(k,2)) elements; the two-stage sum of extremist:5 holds the two
+    # half-distributions (32 each) and the (32, 10) partial sum, 384 in
+    # all, and first exceeds it at 31 parts, an idle order-6 rule (one
+    # element) at 30 parts
     ext4, ext5, idle6 = extremist_rule(4), extremist_rule(5), identity_rule(6)
-    assert comb(28, 5) * (1024 + 55) <= VELOCITY_GUARD < comb(29, 5) * (1024 + 55)
+    assert _pattern_table(ext5).row_elems == 32 + 32 + 32 * 10
+    assert comb(34, 5) * (384 + 55) <= VELOCITY_GUARD < comb(35, 5) * (384 + 55)
     assert comb(34, 6) * (1 + 81) <= VELOCITY_GUARD < comb(35, 6) * (1 + 81)
-    _check_velocity_guard(5, 24, 1024)
+    _check_velocity_guard(5, 30, 384)
     _check_velocity_guard(6, 29, 1)
-    for rule, m in ((ext5, 25), (ext5, 60), (ext4, 200), (idle6, 30)):
+    for rule, m in ((ext5, 31), (ext5, 60), (ext4, 200), (idle6, 30)):
         with pytest.raises(GuardExceededError):
             velocity(rule, flat(m))
         with pytest.raises(GuardExceededError):
             integrate(rule, flat(m), 0.1)
     assert np.all(velocity(idle6, flat(6)).values == 0.0)
     assert integrate(idle6, flat(6), 0.1).checkpoints[-1][1].values[0, 0] == 0.5
-    # at the largest part count the guard passes, for the cheapest and
-    # the costliest pattern sums of each order, the plan's arrays (8-byte
-    # parts, pair arrays and pattern-sum rows) fit in 1 GiB; computed,
-    # not allocated
+    # at the largest part count the guard passes, for the cheapest
+    # pattern sum of each order and its two-stage sum, the plan's arrays
+    # (8-byte parts, pair arrays and pattern-sum rows) fit in 1 GiB;
+    # computed, not allocated
     for k in range(2, 7):
         npairs = comb(k, 2)
-        for row_elems in (1, 1 << npairs):
+        low, high = 1 << npairs // 2, 1 << npairs - npairs // 2
+        for row_elems in (1, low + high * (1 + npairs)):
             m = 1
             while True:
                 try:
@@ -232,15 +238,41 @@ def test_velocity_result_is_symmetric(rng):
         assert np.array_equal(vel, vel.T)
 
 
+def pattern_sum_path(rule):
+    return "support" if len(_pattern_table(rule).bits) == 1 else "two-stage"
+
+
 def test_velocity_and_rhs_match_the_definition(rng):
-    # random rules of every builder order, 1-3 parts, and a graphon whose
-    # parts 0 and 1 are twins (equal masses and value rows)
+    # random rules of every builder order, on both pattern sums at k = 3
+    # and 4 (a rule with few moving rows sums over its support), 1-3
+    # parts, and a graphon whose parts 0 and 1 are twins (equal masses
+    # and value rows)
     twins = StepGraphon([0.3, 0.3, 0.4], [[0.7, 0.7, 0.25], [0.7, 0.7, 0.25], [0.25, 0.25, 0.6]])
-    for k, active in ((2, 1.0), (3, 1.0), (4, 0.5), (5, 0.03)):
+    cases = (
+        (2, 1.0, "support"),
+        (3, 0.1, "support"),
+        (3, 1.0, "two-stage"),
+        (4, 0.03, "support"),
+        (4, 0.5, "two-stage"),
+        (5, 0.03, "two-stage"),
+    )
+    for k, active, path in cases:
         rule = random_rule(rng, k, active)
+        assert pattern_sum_path(rule) == path, (k, active)
         for w in [random_graphon(rng, m) for m in (1, 2, 3)] + [twins]:
             expect = brute_velocity(rule, w)
             assert np.max(np.abs(velocity(rule, w).values - expect)) <= 1e-12, (k, w.m)
             plan = VelocityPlan(rule, w.masses)
             rhs = _field(plan)(plan.pack(w.values))
             assert np.max(np.abs(rhs - plan.pack(expect))) <= 1e-12, (k, w.m)
+
+
+def test_each_built_in_rule_keeps_its_pattern_sum_path():
+    # pins the choice between the support sum and the two-stage sum
+    two_stage = {
+        "edge-removal", "complementing:3", "complementing:4", "component-completion:4",
+        "ignorant-uniform:3", "stirring-loose:4", "stirring-loose:5", "extremist:5",
+    }
+    for spec in list(BUILTIN_RULES) + sorted(two_stage - set(BUILTIN_RULES)):
+        expect = "two-stage" if spec in two_stage else "support"
+        assert pattern_sum_path(make_rule(spec)) == expect, spec
