@@ -51,6 +51,7 @@ _DP_D = np.array([
     [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
     [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ])
+_DP_ROWS = [_DP_A[s, :s] for s in range(16)]
 _RK4_DENSE = np.array([[1.0, -3 / 2, 2 / 3], [0.0, 1.0, -2 / 3], [0.0, 1.0, -2 / 3], [0.0, -1 / 2, 2 / 3]])
 
 METHODS = ("dop853", "rk4_fixed")
@@ -183,6 +184,7 @@ def _dop853(f, y0, t0, t1, opts, observer, band) -> _Leg:
     stats = StepStats(rhs_evals=1)
 
     K = np.empty((16, y.size))
+    K_before = [K[:s] for s in range(13)]  # the stages each stage weighs
     K[0] = f(y)
     h = direction * _initial_step(y, K[0], opts)
     min_step = abs(span) * _MIN_STEP_FRACTION
@@ -193,11 +195,11 @@ def _dop853(f, y0, t0, t1, opts, observer, band) -> _Leg:
         if last:
             h = t1 - t
         for s in range(1, 12):
-            K[s] = f(y + h * (_DP_A[s, :s] @ K[:s]))
+            K[s] = f(y + h * (_DP_ROWS[s] @ K_before[s]))
         stats.rhs_evals += 11
-        y_new = y + h * (_DP_A[12, :12] @ K[:12])
+        y_new = y + h * (_DP_ROWS[12] @ K_before[12])
         scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e5, e3 = (_DP_E @ K[:12]) / scale
+        e5, e3 = (_DP_E @ K_before[12]) / scale
         n5, n3 = float(e5 @ e5), float(e3 @ e3)
         err = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * y.size) if n5 else 0.0
         if err <= 1.0:
@@ -224,7 +226,7 @@ def _dop853_extension(f, y0, y1, h, K, stats):
     def between(theta):
         if not rows:
             for s in range(13, 16):
-                K[s] = f(y0 + h * (_DP_A[s, :s] @ K[:s]))
+                K[s] = f(y0 + h * (_DP_ROWS[s] @ K[:s]))
             stats.rhs_evals += 3
             dy = y1 - y0
             rows.append(np.vstack([dy, h * K[0] - dy, 2.0 * dy - h * (K[0] + K[12]), h * (_DP_D @ K)]))

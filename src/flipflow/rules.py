@@ -104,18 +104,6 @@ class Rule:
             lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
         return targets[lo]
 
-    def _row_matrix(self) -> np.ndarray:
-        """Dense R as a (num_graphs, num_graphs) array.  k <= 5 only."""
-        if self.k > MAX_BUILDER_ORDER:
-            raise UnsupportedOrderError(
-                f"dense rule matrix not materialized for k={self.k}"
-            )
-        mat = np.zeros((self.num_graphs, self.num_graphs))
-        for f, row in enumerate(self.rows):
-            for h, p in row:
-                mat[f, h] = p
-        return mat
-
     def __repr__(self):
         return f"Rule(k={self.k}, graphs={self.num_graphs})"
 

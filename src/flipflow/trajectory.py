@@ -15,36 +15,20 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import IntegrationFaultError, NonFiniteValueError
+from .errors import NonFiniteValueError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
 from .stepfun import StepGraphon, cut_norm_exact, kernel_sub, linf_dist
-from .velocity import VelocityPlan, eval_poly, velocity_poly
+from .velocity import RHS_BAND, VelocityPlan, eval_poly, velocity_poly
 from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps trajectory.velocity)
 
 DEFAULT_OPTS = IntegratorOptions()
-RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
-
-
-def _field(plan: VelocityPlan):
-    """The right-hand side y -> velocity on packed states of one flow."""
-
-    def f(y: np.ndarray) -> np.ndarray:
-        lo, hi = float(y.min()), float(y.max())
-        if not (lo >= -RHS_BAND and hi <= 1.0 + RHS_BAND):  # also rejects NaN
-            raise IntegrationFaultError(
-                f"velocity evaluated at a state outside [{-RHS_BAND}, {1 + RHS_BAND}]: "
-                f"range [{lo}, {hi}]"
-            )
-        return plan(y)
-
-    return f
 
 
 def _start(rule: Rule, w0: StepGraphon):
-    """The velocity plan on `w0`'s parts, the field it gives and the packed start."""
+    """The velocity plan on `w0`'s parts, which is its flow's right-hand side, and the packed start."""
     plan = VelocityPlan(rule, w0.masses)
-    return plan, _field(plan), plan.pack(w0.values)
+    return plan, plan.pack(w0.values)
 
 
 def _read_span(f, y0, t_end, times, opts, band=False):
@@ -82,8 +66,8 @@ def flow_at(
         raise NonFiniteValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return w0
-    plan, f, y0 = _start(rule, w0)
-    leg = integrate_span(f, y0, 0.0, t, opts, band=t > 0)
+    plan, y0 = _start(rule, w0)
+    leg = integrate_span(plan, y0, 0.0, t, opts, band=t > 0)
     return StepGraphon(w0.masses, plan.unpack(leg.y), band=opts.band_tol if t > 0 else RHS_BAND)
 
 
@@ -107,8 +91,8 @@ def integrate(
     times = sorted({float(t) for t in checkpoint_times})
     if times and (times[0] < 0 or times[-1] > t_end + 1e-12):
         raise ValueError("checkpoint times must lie in [0, t_end]")
-    plan, f, y0 = _start(rule, w0)
-    states, leg = _read_span(f, y0, max([t_end, *times]), times, opts, band=True)
+    plan, y0 = _start(rule, w0)
+    states, leg = _read_span(plan, y0, max([t_end, *times]), times, opts, band=True)
     checkpoints = [(t, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol))
                    for t, y in zip(times, states)]
     return Trajectory(w0.masses, checkpoints, leg.stats)
@@ -156,7 +140,7 @@ def backward_age(
     points outside [0, 1], the age is 0 with origin `w0` itself.  Fixed
     points and other flows that survive past `max_age` report "exceeded".
     """
-    plan, f, y0 = _start(rule, w0)
+    plan, y0 = _start(rule, w0)
     vel0 = plan(y0)
     touching_low = y0 <= opts.band_tol
     touching_high = y0 >= 1.0 - opts.band_tol
@@ -174,7 +158,7 @@ def backward_age(
         steps[:] = [step]
         return not inside(step.y1)
 
-    if inside(integrate_span(f, y0, 0.0, -max_age, opts, crossed).y):
+    if inside(integrate_span(plan, y0, 0.0, -max_age, opts, crossed).y):
         return AgeResult(True, max_age=max_age)
     step = steps[0]
     t_in, y_in, t_out = step.t0, step.y0, step.t1
@@ -220,7 +204,7 @@ def find_destination(
     # written so that NaN fails too: at least one unit of time is read
     if not (eps_vel > 0 and eps_move > 0 and t_max > 0):
         raise ValueError("tolerances and t_max must be positive")
-    plan, f, y0 = _start(rule, w0)
+    plan, y0 = _start(rule, w0)
     t, y, residual, movement = 0.0, y0, np.inf, np.inf
 
     def visit(step):
@@ -230,13 +214,13 @@ def find_destination(
             t = min(t + 1.0, t_max)
             y_next = step.at(t)
             movement = float(np.max(np.abs(y_next - y)))
-            residual = float(np.max(np.abs(f(y_next))))
+            residual = float(np.max(np.abs(plan(y_next))))
             y = y_next
             if residual < eps_vel and movement < eps_move:
                 return True
         return False
 
-    integrate_span(f, y0, 0.0, t_max, opts, visit, band=True)
+    integrate_span(plan, y0, 0.0, t_max, opts, visit, band=True)
     converged = residual < eps_vel and movement < eps_move
     w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
     return DestinationResult(converged, w, residual, movement, t)

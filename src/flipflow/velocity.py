@@ -26,17 +26,20 @@ cached; the averaged table is cached on the rule.  A `VelocityPlan`
 fixes the part masses as well, folding multiplicity, mass product and
 the 1/(m_i m_j) normalization into one weight per (multiset, pair), so
 that along a flow, where the masses never change, each evaluation is a
-gather of the packed upper-triangle values, a pattern-weighted sum and
-one bincount back into packed blocks.
+gather of the factors 1 - y and y of each pair from z = [1 - y, y] (y the
+packed upper-triangle values), a pattern-weighted sum and one bincount
+back into packed blocks.
 
 The pattern-weighted sum runs over the support of Cbar when few rows are
 nonzero, else over all 2**P patterns (P = C(k, 2)) in two stages: P(F)
 is the probability of F's low h = P // 2 pair bits times that of its
 high bits, so a matmul with the low half-distribution contracts Cbar to
 (2**(P-h), P) partial sums per multiset and a batched matmul with the
-high half ends it.  The guard prices per multiset the two halves and the
-partial sums, 2**h + 2**(P-h) * (P + 1) elements (384 at k = 5, not the
-2**P = 1024 of the full distribution).
+high half ends it; each P(F) is the product of the factors its bits
+pick.  The guard prices the k + 5 P elements a plan holds per multiset
+and one chunk's pattern sum: per multiset the support size times P, or
+the two halves and the partial sums, 2**h + 2**(P-h) * (P + 1) elements
+(384 at k = 5, not the 2**P = 1024 of the full distribution).
 
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
@@ -52,7 +55,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, IntegrationFaultError
 from .graphs import pair_list, pair_position
 from .rules import Rule, deltas, pair_coefficients
 from .stepfun import StepGraphon, StepKernel, check_masses
@@ -60,6 +63,7 @@ from .streams import substream
 
 VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
 _CHUNK_ELEMS = 1 << 23  # cap on rows * row_elems per vectorized chunk
+RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
 
 
 def _ordered_pairs(k: int):
@@ -67,13 +71,15 @@ def _ordered_pairs(k: int):
 
 
 def _check_velocity_guard(k: int, m: int, row_elems: int) -> None:
-    """Price the C(m+k-1, k) multisets a plan builds before building them.
+    """Price the arrays a plan on the C(m+k-1, k) multisets holds before building them.
 
-    Each multiset holds its k parts, five arrays over the C(k, 2) pairs
-    (both parts, cell, factor, weight) and `row_elems` elements while its
+    Each multiset holds its k parts and, over the C(k, 2) pairs, its cell,
+    factor, weight and two gather indices; a chunk of at most
+    _CHUNK_ELEMS // row_elems multisets holds `row_elems` each while its
     patterns are summed.
     """
-    elems = comb(m + k - 1, k) * (row_elems + k + 5 * comb(k, 2))
+    rows = comb(m + k - 1, k)
+    elems = rows * (k + 5 * comb(k, 2)) + min(rows, max(1, _CHUNK_ELEMS // row_elems)) * row_elems
     if elems > VELOCITY_GUARD:
         raise GuardExceededError(
             f"velocity enumeration needs {elems:.2e} array elements, more than "
@@ -86,15 +92,16 @@ class _PatternTable:
     """The averaged coefficient rows a pattern sum needs, and how to sum.
 
     Graphs with an all-zero row cost nothing: when the nonzero support is
-    small the sum runs over it directly (`bits` holds one table, the
-    support's edge indicators).  Otherwise it runs over every pattern in
-    two stages: the P pair bits split into the low h = P // 2 and the high
-    P - h, `bits` holds the edge indicators of each half, and `table`
-    holds all rows as coupled[lo, hi * P + p] = Cbar[lo + 2**h * hi, p].
+    small the sum runs over it directly (`bits` holds one index, over the
+    support).  Otherwise it runs over every pattern in two stages: the P
+    pair bits split into the low h = P // 2 and the high P - h, `bits`
+    holds the index of each half, and `table` holds all rows as
+    coupled[lo, hi * P + p] = Cbar[lo + 2**h * hi, p].  An index holds the
+    factor row 2p + bit for each of its pairs p and patterns.
     """
 
     table: np.ndarray
-    bits: tuple  # (support bits,) or (low-half bits, high-half bits)
+    bits: tuple  # (support index,) or (low-half index, high-half index)
     row_elems: int  # array elements per multiset while summing
 
 
@@ -126,13 +133,14 @@ def _pattern_table(rule: Rule) -> _PatternTable:
 
     support = np.flatnonzero(np.any(table != 0.0, axis=1))
     if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
-        out = _PatternTable(table[support], (bits[support],), max(len(support) * npairs, 1))
+        index = (_factor_index(0, bits[support]),)
+        out = _PatternTable(table[support], index, max(len(support) * npairs, 1))
     else:
         h = npairs // 2
         low, high = 1 << h, 1 << npairs - h
         coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
-        halves = (_bit_table(h), _bit_table(npairs - h))
-        out = _PatternTable(coupled, halves, low + high * (1 + npairs))
+        index = (_factor_index(0, _bit_table(h)), _factor_index(h, _bit_table(npairs - h)))
+        out = _PatternTable(coupled, index, low + high * (1 + npairs))
     for arr in (out.table, *out.bits):
         arr.flags.writeable = False
     rule._pattern_table = out
@@ -145,14 +153,14 @@ class _Multisets:
 
     `parts[r]` is the r-th multiset in lexicographic order; for pair
     position p = (u, v), `cells[r, p]` is the packed upper-triangle index
-    of block (parts[r, u], parts[r, v]) and `factor[r, p]` the number of
-    ordered assignments and root orientations it stands for.
+    of block (parts[r, u], parts[r, v]), `gather[2p + b, r]` that of 1 - y
+    (b = 0) or y (b = 1) there in z = [1 - y, y], and `factor[r, p]` the
+    number of ordered assignments and root orientations it stands for.
     """
 
     parts: np.ndarray  # (R, k)
-    first: np.ndarray  # (R, C(k,2)): parts[r, u] for pair position p = (u, v)
-    second: np.ndarray  # (R, C(k,2)): parts[r, v]
     cells: np.ndarray  # (R, C(k,2))
+    gather: np.ndarray  # (2 C(k,2), R)
     factor: np.ndarray  # (R, C(k,2))
     upper: tuple  # np.triu_indices(m), the packing order
 
@@ -177,10 +185,11 @@ def _multisets(k: int, m: int) -> _Multisets:
     i, j = parts[:, us], parts[:, vs]
     cells = i * m - i * (i - 1) // 2 + (j - i)
     factor = multiplicity[:, None] * np.where(i == j, 2.0, 1.0)
+    gather = np.stack((cells.T, cells.T + m * (m + 1) // 2), axis=1).reshape(-1, len(parts))
     upper = np.triu_indices(m)
-    for arr in (parts, i, j, cells, factor, *upper):
+    for arr in (parts, cells, gather, factor, *upper):
         arr.flags.writeable = False
-    return _Multisets(parts, i, j, cells, factor, upper)
+    return _Multisets(parts, cells, gather, factor, upper)
 
 
 class VelocityPlan:
@@ -188,9 +197,11 @@ class VelocityPlan:
 
     Built once per (rule, masses) and called on packed upper-triangle
     values (the order of `pack`); returns the velocity in the same
-    packing.  The guard and the mass check run at construction, so a
-    flow pays for them once.  Values are not checked: callers that take
-    states from outside (the integrator) check their band themselves.
+    packing.  The guard, the mass check and each chunk's gather index,
+    flat cells and weights are set up at construction, so a flow pays for
+    them once.  A call raises `IntegrationFaultError` on a state with an
+    entry outside [-RHS_BAND, 1 + RHS_BAND] or NaN: min(1 - y, y) >= -0.5
+    is that band exactly (near 1.5, 1 - y is exact), one reduction over z.
     """
 
     def __init__(self, rule: Rule, masses):
@@ -203,15 +214,14 @@ class VelocityPlan:
         self.m = m
         self._upper = enum.upper
         self._ncells = m * (m + 1) // 2
-        self._cells = enum.cells
         weight = np.prod(masses[enum.parts], axis=1)
-        self._weights = enum.factor * weight[:, None] / (masses[enum.first] * masses[enum.second])
+        weights = enum.factor * weight[:, None] / np.outer(masses, masses)[enum.upper][enum.cells]
         self._table = patterns.table
         self._bits = patterns.bits
         self._pattern_sum = self._support_sum if len(self._bits) == 1 else self._two_stage
-        chunk = max(1, _CHUNK_ELEMS // patterns.row_elems)
-        total = len(self._cells)
-        self._chunks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        step = max(1, _CHUNK_ELEMS // patterns.row_elems)
+        chunks = [slice(lo, lo + step) for lo in range(0, len(weights), step)]
+        self._chunks = [(enum.gather[:, c], enum.cells[c].ravel(), weights[c].ravel()) for c in chunks]
 
     def pack(self, values: np.ndarray) -> np.ndarray:
         """Upper-triangle entries of a symmetric (m, m) matrix, row by row."""
@@ -225,33 +235,41 @@ class VelocityPlan:
         return out
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self._ncells)
-        for lo, hi in self._chunks:
-            cells = self._cells[lo:hi]
-            scores = self._pattern_sum(y[cells]) * self._weights[lo:hi]
-            out += np.bincount(cells.ravel(), weights=scores.ravel(), minlength=self._ncells)
+        z = np.concatenate((1.0 - y, y))
+        if not np.minimum.reduce(z) >= -RHS_BAND:
+            raise IntegrationFaultError(
+                f"velocity evaluated at a state outside [{-RHS_BAND}, {1 + RHS_BAND}]: "
+                f"range [{float(y.min())}, {float(y.max())}]"
+            )
+        out = None
+        for gather, cells, weights in self._chunks:
+            scores = self._pattern_sum(z[gather]).ravel() * weights
+            part = np.bincount(cells, weights=scores, minlength=self._ncells)
+            out = part if out is None else out + part
         return out
 
-    def _support_sum(self, edge_probs: np.ndarray) -> np.ndarray:
-        """sum over the support F of P(F | multiset) * Cbar[F]."""
-        return _pattern_probs(edge_probs, self._bits[0]) @ self._table
+    def _support_sum(self, factors: np.ndarray) -> np.ndarray:
+        """sum over the support F of P(F | multiset) * Cbar[F], (rows, P)."""
+        return _pattern_probs(factors, self._bits[0]).T @ self._table
 
-    def _two_stage(self, edge_probs: np.ndarray) -> np.ndarray:
+    def _two_stage(self, factors: np.ndarray) -> np.ndarray:
         """sum over all F of P(F | multiset) * Cbar[F]: the low half of P(F)
         contracts `table` to (rows, 2**(P-h), P), the high half to (rows, P).
         """
-        low_bits, high_bits = self._bits
-        h = low_bits.shape[1]
-        low = _pattern_probs(edge_probs[:, :h], low_bits)
-        high = _pattern_probs(edge_probs[:, h:], high_bits)
-        partial = (low @ self._table).reshape(len(edge_probs), len(high_bits), -1)
-        return (high[:, None, :] @ partial)[:, 0]
+        low = _pattern_probs(factors, self._bits[0])
+        high = _pattern_probs(factors, self._bits[1])
+        partial = (low.T @ self._table).reshape(factors.shape[1], len(high), -1)
+        return (high.T[:, None, :] @ partial)[:, 0]
 
 
-def _pattern_probs(edge_probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """P(pattern | multiset) for each row of edge indicators `bits`."""
-    probs = edge_probs[:, None, :]
-    return np.where(bits, probs, 1.0 - probs).prod(axis=2)
+def _pattern_probs(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(patterns, rows) P(pattern | multiset): the product over pairs of the factor rows `index` picks."""
+    return np.multiply.reduce(factors.take(index, axis=0), axis=0)
+
+
+def _factor_index(first: int, bits: np.ndarray) -> np.ndarray:
+    """(n, patterns) factor rows of pair positions first, ..., first + n - 1 by edge indicators `bits`."""
+    return 2 * np.arange(first, first + bits.shape[1])[:, None] + bits.T
 
 
 def _bit_table(n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from flipflow import (
 import flipflow.trajectory as trajectory_module
 from flipflow.integrators import _DP_A, _RK4_DENSE, integrate_span
 from flipflow.trajectory import (
-    CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _field, _genome_check, _start,
+    CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _genome_check, _start,
 )
 
 from conftest import random_graphon, random_rule, scalar_fixed_points
@@ -115,11 +116,19 @@ def test_integrate_and_flow_at_reject_non_finite_times(bad):
 
 
 def test_rhs_rejects_states_outside_the_band_and_nan():
-    f = _field(VelocityPlan(EXT3, [0.4, 0.6]))
-    assert np.all(np.isfinite(f(np.array([0.2, 0.5, 0.9]))))
-    for bad in ([0.2, np.nan, 0.9], [0.2, 1.6, 0.9], [-0.6, 0.5, 0.9]):
-        with pytest.raises(IntegrationFaultError):
-            f(np.array(bad))
+    # a flow's right-hand side is its plan: the band is [-0.5, 1.5], both
+    # ends included, on the support sum (extremist:3) and the two-stage
+    # sum (ignorant-uniform:3); the message names the band and the range
+    low, high = np.nextafter(-0.5, -np.inf), np.nextafter(1.5, np.inf)
+    for rule in (EXT3, make_rule("ignorant-uniform:3")):
+        f = VelocityPlan(rule, [0.4, 0.6])
+        for good in ([0.2, 0.5, 0.9], [-0.5, 0.5, 1.5], [-0.5, -0.5, -0.5], [1.5, 1.5, 1.5]):
+            assert np.all(np.isfinite(f(np.array(good)))), good
+        for bad in (low, high, np.nan, np.inf, -np.inf, 1.6, -0.6):
+            state = np.array([0.2, bad, 0.9])
+            message = f"outside [-0.5, 1.5]: range [{state.min()}, {state.max()}]"
+            with pytest.raises(IntegrationFaultError, match=re.escape(message)):
+                f(state)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +405,7 @@ def test_interpolated_checkpoints_match_flow_at_and_keep_linear_invariants():
              127 / 195, 3 / 5, 6 / 7, 1, 1, 1 / 10, 1 / 5, 7 / 9]
     assert np.allclose(_DP_A.sum(axis=1), nodes, rtol=0, atol=1e-15)
     # ... and its extension meets the step's ends; at theta = 1 RK4's reduces to its weights
-    _, f, y0 = _start(EXT3, two_block((0.5, 0.5), 0.95, 0.95, 0.18))
+    f, y0 = _start(EXT3, two_block((0.5, 0.5), 0.95, 0.95, 0.18))
     steps = []
     integrate_span(f, y0, 0.0, 1.0, DEFAULT_OPTS, lambda step: steps.append(step) or True)
     step = steps[0]

@@ -1,3 +1,4 @@
+import sys
 from math import comb
 
 import numpy as np
@@ -30,7 +31,6 @@ from flipflow import (
 )
 from flipflow import BUILTIN_RULES, LabeledGraph
 from flipflow.rules import deltas
-from flipflow.trajectory import _field
 from flipflow.rules import make_rule
 from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard, _pattern_table
 
@@ -193,18 +193,21 @@ def test_velocity_guard():
     def flat(m):
         return StepGraphon(np.full(m, 1 / m), np.full((m, m), 0.5))
 
-    # the guard prices C(m+k-1, k) multisets times (row_elems + k +
-    # 5 C(k,2)) elements; the two-stage sum of extremist:5 holds the two
+    # the guard prices each of the C(m+k-1, k) multisets k + 5 C(k,2)
+    # elements (parts, cells, factors, weights and the two gather indices)
+    # and one chunk of at most _CHUNK_ELEMS // row_elems multisets
+    # row_elems each; the two-stage sum of extremist:5 holds the two
     # half-distributions (32 each) and the (32, 10) partial sum, 384 in
-    # all, and first exceeds it at 31 parts, an idle order-6 rule (one
-    # element) at 30 parts
+    # all, and first exceeds it at 47 parts, an idle order-6 rule (one
+    # element, one chunk) at 30 parts
     ext4, ext5, idle6 = extremist_rule(4), extremist_rule(5), identity_rule(6)
     assert _pattern_table(ext5).row_elems == 32 + 32 + 32 * 10
-    assert comb(34, 5) * (384 + 55) <= VELOCITY_GUARD < comb(35, 5) * (384 + 55)
+    chunk5 = (1 << 23) // 384
+    assert comb(50, 5) * 55 + chunk5 * 384 <= VELOCITY_GUARD < comb(51, 5) * 55 + chunk5 * 384
     assert comb(34, 6) * (1 + 81) <= VELOCITY_GUARD < comb(35, 6) * (1 + 81)
-    _check_velocity_guard(5, 30, 384)
+    _check_velocity_guard(5, 46, 384)
     _check_velocity_guard(6, 29, 1)
-    for rule, m in ((ext5, 31), (ext5, 60), (ext4, 200), (idle6, 30)):
+    for rule, m in ((ext5, 47), (ext5, 60), (ext4, 200), (idle6, 30)):
         with pytest.raises(GuardExceededError):
             velocity(rule, flat(m))
         with pytest.raises(GuardExceededError):
@@ -213,8 +216,8 @@ def test_velocity_guard():
     assert integrate(idle6, flat(6), 0.1).checkpoints[-1][1].values[0, 0] == 0.5
     # at the largest part count the guard passes, for the cheapest
     # pattern sum of each order and its two-stage sum, the plan's arrays
-    # (8-byte parts, pair arrays and pattern-sum rows) fit in 1 GiB;
-    # computed, not allocated
+    # (8-byte parts, pair arrays and one chunk of pattern-sum rows) fit
+    # in 1 GiB; computed, not allocated
     for k in range(2, 7):
         npairs = comb(k, 2)
         low, high = 1 << npairs // 2, 1 << npairs - npairs // 2
@@ -227,7 +230,8 @@ def test_velocity_guard():
                     break
                 m += 1
             rows = comb(m + k - 1, k)
-            nbytes = 8 * rows * (k + 5 * npairs + row_elems)
+            chunk = min(rows, max(1, (1 << 23) // row_elems))
+            nbytes = 8 * (rows * (k + 5 * npairs) + chunk * row_elems)
             assert nbytes <= 1 << 30, (k, row_elems, m, nbytes)
 
 
@@ -263,8 +267,29 @@ def test_velocity_and_rhs_match_the_definition(rng):
             expect = brute_velocity(rule, w)
             assert np.max(np.abs(velocity(rule, w).values - expect)) <= 1e-12, (k, w.m)
             plan = VelocityPlan(rule, w.masses)
-            rhs = _field(plan)(plan.pack(w.values))
+            rhs = plan(plan.pack(w.values))
             assert np.max(np.abs(rhs - plan.pack(expect))) <= 1e-12, (k, w.m)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [("extremist:3", 3), ("ignorant-uniform:3", 3), ("extremist:4", 3), ("complementing:4", 3), ("extremist:5", 2)],
+)
+def test_plans_split_into_chunks_agree_with_one_chunk(spec, m, rng, monkeypatch):
+    # a smaller _CHUNK_ELEMS splits the 6-15 multisets into 2-5 chunks,
+    # on both pattern sums at k = 3, 4 and the two-stage sum at k = 5
+    rule = make_rule(spec)
+    w = random_graphon(rng, m)
+    y = VelocityPlan(rule, w.masses).pack(w.values)
+    whole = VelocityPlan(rule, w.masses)(y)
+    expect = brute_velocity(rule, w)
+    rows, row_elems = comb(m + rule.k - 1, rule.k), _pattern_table(rule).row_elems
+    for chunks in (2, 3, 5):
+        monkeypatch.setattr(sys.modules[VelocityPlan.__module__], "_CHUNK_ELEMS", row_elems * -(-rows // chunks))
+        plan = VelocityPlan(rule, w.masses)
+        assert 2 <= len(plan._chunks) <= 5, (spec, chunks)
+        assert np.max(np.abs(plan(y) - whole)) <= 1e-13, (spec, chunks)
+        assert np.max(np.abs(plan.unpack(plan(y)) - expect)) <= 1e-12, (spec, chunks)
 
 
 def test_each_built_in_rule_keeps_its_pattern_sum_path():
