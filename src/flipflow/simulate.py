@@ -1,20 +1,20 @@
 """Exact discrete-time simulation of flip processes.
 
-Steps are drawn and applied in blocks of `_BLOCK`.  A block draws, for
-each step, an ordered tuple of k distinct vertices (column s is uniform
-on the n - s vertices not yet picked; `_distinct_tuples`) and one
-uniform variate for the replacement.  Steps whose tuples share no vertex
-pair commute, so the block is applied in wavefronts: a step's level is 1
-plus the largest level of the earlier steps that wrote one of its pairs,
-and each level reads its patterns from a dense n x n byte adjacency,
-bisects `Rule.replacement_table()` (`Rule.sample_replacements`) and
-writes the new pairs back, all steps at once.  Every pair then sees its
-reads and writes in step order, so the result is exactly that of
-stepping one at a time, and the output depends only on the seed, never
-on how the steps are split across `step_many` calls.  Ordered block edge
-counts (`stepfun.block_counts`) seed counters that each call keeps up to
-date, so checkpoint summaries, in `run` and in transference experiments
-alike, cost O(parts^2), not O(n^2).
+Steps are drawn in blocks of `_BLOCK` and applied in spans of `_SPAN`
+pair writes.  A block draws, for each step, an ordered tuple of k
+distinct vertices (column s is uniform on the n - s vertices not yet
+picked; `_distinct_tuples`) and one uniform variate for the replacement.
+Steps whose tuples share no vertex pair commute, so a span is applied in
+wavefronts: a step's level is 1 plus the largest level of the earlier
+steps that wrote one of its pairs, and each level reads its patterns
+from a dense n x n byte adjacency, bisects `Rule.replacement_table()`
+(`Rule.sample_replacements`) and writes the new pairs back, all steps at
+once.  Every pair then sees its reads and writes in step order, so the
+result is exactly that of stepping one at a time, and the output depends
+only on the seed, never on how the steps are split across `step_many`
+calls.  Ordered block edge counts (`stepfun.block_counts`) seed counters
+that each call keeps up to date, so checkpoint summaries, in `run` and
+in transference experiments alike, cost O(parts^2), not O(n^2).
 
 Randomness comes from named substreams of a counter-based generator
 keyed by (seed, purpose), so runs are bit-reproducible across platforms
@@ -47,7 +47,8 @@ from .streams import substream
 from .trajectory import DEFAULT_OPTS, integrate
 from .velocity import velocity
 
-_BLOCK = 1 << 13  # flip steps drawn and scheduled together
+_BLOCK = 1 << 13  # flip steps drawn together
+_SPAN = 3 << 12  # pair writes (steps x C(k, 2)) scheduled together: a few MB whatever n and k
 
 
 def _distinct_tuples(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
@@ -73,7 +74,7 @@ class ProcessState:
     """Mutable simulation state confined to one worker.
 
     Steps write a flat uint8 copy of the start graph's adjacency (entry
-    u * n + v); `adj` is a read-only n x n view of it.
+    u * n + v), never the graph itself; `adj` is a read-only view of it.
     `block_counts[i][j]` counts the ordered vertex pairs (u, v) with u in
     part i, v in part j and uv an edge.
     """
@@ -95,7 +96,7 @@ class ProcessState:
         m = self.num_parts
         self.part_sizes = np.bincount(self.part_of, minlength=m)
         self.block_counts = block_counts(self.adj, self.part_of, m).astype(np.int64).tolist()
-        self.edge_total = graph.edge_count()
+        self.edge_total = sum(map(sum, self.block_counts)) // 2
 
         self._part = np.array(self.part_of)
         a, b = np.array(pair_list(rule.k)).T
@@ -110,10 +111,6 @@ class ProcessState:
         self._uniforms = np.empty(0)
         self._ptr = 0  # next unused step of the drawn block
 
-    def step(self) -> None:
-        """Advance the process by one flip."""
-        self.step_many(1)
-
     def step_many(self, count: int) -> None:
         """Advance by `count` flips, drawing a new block when one runs out."""
         if count < 0:
@@ -124,7 +121,7 @@ class ProcessState:
                 self._tuples = _distinct_tuples(self._tuple_rng, self.n, self.rule.k, _BLOCK)
                 self._uniforms = self._replace_rng.random(_BLOCK)
                 self._ptr = 0
-            end = min(self._ptr + count - done, _BLOCK)
+            end = min(self._ptr + count - done, _BLOCK, self._ptr + max(1, _SPAN // len(self._weights)))
             self._apply(self._tuples[self._ptr : end], self._uniforms[self._ptr : end])
             self.last_tuple = tuple(self._tuples[end - 1].tolist())
             done += end - self._ptr

@@ -29,6 +29,8 @@ VALUE_BAND = 1e-9  # allowed numeric excursion outside [0, 1]
 
 DENSITY_GUARD = 10**8  # maximum m**k assignments a density contracts
 CUT_EXACT_GUARD = 14  # maximum part count for exact cut norm
+_TILE = 512  # side of the square adjacency tiles mirrored or checked at once
+_COUNT_ELEMS = 1 << 16  # adjacency entries whose rows are counted at once, in float32
 
 
 def check_masses(masses: np.ndarray) -> None:
@@ -263,9 +265,10 @@ class SimGraph:
     """Simple graph on n vertices with a dense adjacency matrix.
 
     `adj` is an n x n uint8 array, symmetric with a zero diagonal, whose
-    entry (u, v) is 1 iff uv is an edge; it costs n^2 bytes.  `part_of`
-    assigns each vertex to a part of the step-graphon partition it was
-    sampled from (or any caller-chosen grouping).
+    entry (u, v) is 1 iff uv is an edge; it costs n^2 bytes.  A given `adj`
+    is copied once and checked tile by tile.  `part_of` assigns each vertex
+    to a part of the step-graphon partition it was sampled from (or any
+    caller-chosen grouping).
     """
 
     def __init__(self, n: int, adj=None, part_of=None):
@@ -273,7 +276,8 @@ class SimGraph:
         self.adj = np.zeros((n, n), dtype=np.uint8) if adj is None else np.array(adj, dtype=np.uint8)
         if self.adj.shape != (n, n):
             raise ValueError(f"adjacency must be {n}x{n}, got {self.adj.shape}")
-        if (self.adj > 1).any() or (self.adj != self.adj.T).any() or self.adj.diagonal().any():
+        if adj is not None and (self.adj.diagonal().any() or any(
+                (self.adj[a, b] > 1).any() or (self.adj[a, b] != self.adj[b, a].T).any() for a, b in _tiles(n))):
             raise ValueError("adjacency must be a symmetric 0/1 matrix with a zero diagonal")
         if part_of is None:
             part_of = [0] * n
@@ -285,49 +289,41 @@ class SimGraph:
     def num_parts(self) -> int:
         return max(self.part_of) + 1 if self.part_of else 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
         self.adj[u, v] = self.adj[v, u] = 1
 
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u, v] = self.adj[v, u] = 0
-
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def edges(self):
-        """Iterate over edges (u, v) with u < v, in row-major order."""
-        us, vs = np.nonzero(np.triu(self.adj, 1))
-        return zip(us.tolist(), vs.tolist())
-
-    def copy(self) -> "SimGraph":
-        return SimGraph(self.n, self.adj, self.part_of)
-
     def __repr__(self):
         return f"SimGraph(n={self.n}, edges={self.edge_count()})"
+
+
+def _tiles(n: int) -> list:
+    """(rows, cols) slices of the square tiles on and below the diagonal of an n x n matrix."""
+    cuts = [slice(lo, lo + _TILE) for lo in range(0, n, _TILE)]
+    return [(a, b) for i, a in enumerate(cuts) for b in cuts[: i + 1]]
 
 
 def sample_graph(n: int, w: StepGraphon, rng: np.random.Generator) -> SimGraph:
     """Sample an n-vertex graph from a step graphon.
 
     Each vertex receives an independent mass-distributed part label and
-    each pair an independent edge with the block probability.
+    each pair an independent edge with the block probability, row by row
+    straight into the kept adjacency, which is then mirrored tile by tile.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     parts = rng.choice(w.m, size=n, p=w.masses)
-    adj = np.zeros((n, n), dtype=bool)
-    d = w.values
+    graph = SimGraph(n, part_of=parts.tolist())
+    hits, probs, draw = graph.adj.view(bool), w.values[:, parts], np.empty(n)
     for u in range(n - 1):
-        probs = d[parts[u], parts[u + 1 :]]
-        hits = rng.random(n - u - 1) < probs
-        adj[u, u + 1 :] = hits
-    adj |= adj.T
-    return SimGraph(n, adj, parts.tolist())
+        np.less(rng.random(out=draw[u + 1 :]), probs[parts[u], u + 1 :], out=hits[u, u + 1 :])
+    for a, b in _tiles(n):
+        hits[a, b] |= hits[b, a].T
+    return graph
 
 
 def block_counts(adj: np.ndarray, labels, num_labels: int) -> np.ndarray:
@@ -335,11 +331,15 @@ def block_counts(adj: np.ndarray, labels, num_labels: int) -> np.ndarray:
 
     Entry (i, j) counts the ordered vertex pairs (u, v) with u labelled i,
     v labelled j and uv an edge, so an edge inside one block counts twice
-    and the matrix is symmetric.  The float sums are exact for n^2 < 2^53.
+    and the matrix is symmetric.  Row blocks count in float32, exact below
+    2^24, with no float copy of `adj`; their sum is exact for n^2 < 2^53.
     """
-    onehot = np.zeros((len(labels), num_labels))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return onehot.T @ (adj @ onehot)
+    n = len(labels)
+    onehot = np.zeros((n, num_labels), dtype=np.float32)
+    onehot[np.arange(n), labels] = 1.0
+    step = 1 + _COUNT_ELEMS // (n + 1)
+    chunks = (onehot[lo : lo + step].T @ (adj[lo : lo + step] @ onehot) for lo in range(0, n, step))
+    return sum(chunks, np.zeros((num_labels, num_labels)))
 
 
 def block_graphon(counts, sizes, target_masses=None) -> StepGraphon:
@@ -403,9 +403,9 @@ def load_graphon(path) -> StepGraphon:
 
 def save_sim_graph(graph: SimGraph, path) -> None:
     path = str(path)
+    us, vs = np.nonzero(np.triu(graph.adj, 1))  # the edges u < v in row-major order
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u + 1} {v + 1}\n")
+        fh.writelines(f"{u + 1} {v + 1}\n" for u, v in zip(us.tolist(), vs.tolist()))
     with open(path + ".parts", "w", encoding="utf-8") as fh:
         for v, p in enumerate(graph.part_of):
             fh.write(f"{v + 1} {p + 1}\n")

@@ -62,6 +62,7 @@ from .stepfun import StepGraphon, StepKernel, check_masses
 from .streams import substream
 
 VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
+MULTISET_CACHE_BYTES = VELOCITY_GUARD * 8 // 32  # largest cached multiset arrays: 32 fit in 1 GB
 _CHUNK_ELEMS = 1 << 23  # cap on rows * row_elems per vectorized chunk
 RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
 
@@ -210,7 +211,9 @@ class VelocityPlan:
         k, m = rule.k, len(masses)
         patterns = _pattern_table(rule)
         _check_velocity_guard(k, m, patterns.row_elems)
-        enum = _multisets(k, m)
+        # each multiset's arrays hold k + 4 C(k, 2) 8-byte entries
+        small = comb(m + k - 1, k) * (k + 4 * comb(k, 2)) * 8 <= MULTISET_CACHE_BYTES
+        enum = (_multisets if small else _multisets.__wrapped__)(k, m)
         self.m = m
         self._upper = enum.upper
         self._ncells = m * (m + 1) // 2

@@ -3,13 +3,16 @@
 The oracles here are deliberately independent of the library code paths
 they check: densities enumerate assignments with itertools, cut norms
 enumerate every subset pair, rooted densities multiply factors in plain
-Python loops, pair coefficients walk every rule entry, the velocity
-sums its definition term by term, and block averages loop over ordered
-vertex pairs.  The sequential stepper replays the simulator's block
-draws one flip at a time, and the drift oracle the drift harness's draws
-one sample at a time, both with `bisect_right` on the replacement table.
-The fixed-point scan evaluates the velocity polynomial one grid point at
-a time and bisects one bracket at a time.
+Python loops, pair coefficients walk every rule entry, the velocity sums
+its definition term by term, and block averages loop over ordered vertex
+pairs.  Graph sampling has a reference that draws and writes one row at
+a time into a bool matrix and mirrors it whole, and block counts an
+integer count over the members of each pair of blocks.  The sequential
+stepper replays the simulator's block draws one flip at a time, and the
+drift oracle the drift harness's draws one sample at a time, both with
+`bisect_right` on the replacement table.  The fixed-point scan evaluates
+the velocity polynomial one grid point at a time and bisects one bracket
+at a time.
 """
 
 import itertools
@@ -181,6 +184,30 @@ def brute_block_average(adj, labels) -> np.ndarray:
             if adj[u][v]:
                 counts[labels[u]][labels[v]] += 1
     return np.array([[counts[i][j] / (sizes[i] * sizes[j]) for j in range(num)] for i in range(num)])
+
+
+def reference_sample_graph(n: int, w: StepGraphon, rng: np.random.Generator):
+    """(adjacency, part labels) of `sample_graph`, drawn as it once was:
+    the labels, then for each row u the variates of the pairs uv, v > u,
+    compared with the gathered block probabilities."""
+    parts = rng.choice(w.m, size=n, p=w.masses)
+    adj = np.zeros((n, n), dtype=bool)
+    for u in range(n - 1):
+        adj[u, u + 1 :] = rng.random(n - u - 1) < w.values[parts[u], parts[u + 1 :]]
+    adj |= adj.T
+    return adj.astype(np.uint8), parts.tolist()
+
+
+def brute_block_counts(adj, labels, num_labels: int) -> np.ndarray:
+    """Ordered block counts as integers: entry (i, j) sums the adjacency
+    rows of the vertices labelled i over the columns labelled j."""
+    labels = np.asarray(labels)
+    counts = np.zeros((num_labels, num_labels), dtype=np.int64)
+    for i in range(num_labels):
+        rows = adj[labels == i].astype(np.int64)
+        for j in range(num_labels):
+            counts[i, j] = rows[:, labels == j].sum()
+    return counts
 
 
 def sequential_steps(rule: Rule, graph, seed: int, steps: int):

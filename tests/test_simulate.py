@@ -45,7 +45,7 @@ def identity_rule(k):
 
 def test_er_first_step_from_empty_adds_one_edge():
     state = ProcessState(ER, SimGraph(12), seed=0)
-    state.step()
+    state.step_many(1)
     assert state.edge_total == 1
     assert state.step_count == 1
 
@@ -92,13 +92,13 @@ def test_run_rejects_a_checkpoint_beyond_total_steps():
 
 def test_run_is_deterministic():
     g = sample_graph(60, constant(0.3), substream(4, "init"))
-    a = ProcessState(TR, g.copy(), seed=11)
-    b = ProcessState(TR, g.copy(), seed=11)
+    a = ProcessState(TR, g, seed=11)
+    b = ProcessState(TR, g, seed=11)
     a.step_many(4000)
     b.step_many(4000)
     assert np.array_equal(a.adj, b.adj)
     assert a.block_counts == b.block_counts
-    c = ProcessState(TR, g.copy(), seed=12)
+    c = ProcessState(TR, g, seed=12)
     c.step_many(4000)
     assert not np.array_equal(c.adj, a.adj)
 
@@ -108,14 +108,14 @@ def test_locality_of_single_steps():
     state = ProcessState(EXT3, g, seed=2)
     for _ in range(200):
         before = state.snapshot()
-        state.step()
+        state.step_many(1)
         after = state.snapshot()
         tup = set(state.last_tuple)
         changed = {
             (u, v)
             for u in range(30)
             for v in range(u + 1, 30)
-            if before.has_edge(u, v) != after.has_edge(u, v)
+            if before.adj[u, v] != after.adj[u, v]
         }
         assert len(changed) <= comb(3, 2)
         for u, v in changed:
@@ -127,17 +127,17 @@ def test_locality_of_single_steps():
 
 def test_monotone_rules_move_edge_counts_one_way():
     g = sample_graph(50, constant(0.5), substream(8, "init"))
-    state = ProcessState(ER, g.copy(), seed=1)
+    state = ProcessState(ER, g, seed=1)
     prev = state.edge_total
     for _ in range(500):
-        state.step()
+        state.step_many(1)
         assert state.edge_total >= prev
         prev = state.edge_total
     rule = removal_rule(LabeledGraph.from_edges(3, [(0, 1)]))
-    state = ProcessState(rule, g.copy(), seed=1)
+    state = ProcessState(rule, g, seed=1)
     prev = state.edge_total
     for _ in range(500):
-        state.step()
+        state.step_many(1)
         assert state.edge_total <= prev
         prev = state.edge_total
 
@@ -248,8 +248,18 @@ def test_simulator_draws_as_the_vectorised_sampler():
     edge = 0
     for u in variates:
         edge = int(rule.sample_replacements(np.array([edge]), np.array([u]))[0])
-        state.step()
+        state.step_many(1)
         assert state.adj[0, 1] == edge
+
+
+@pytest.mark.parametrize("name", ["er", "extremist:3", "extremist:5"])
+def test_stepping_leaves_the_callers_graph_alone(name):
+    g = sample_graph(60, two_block((0.4, 0.6), 0.7, 0.2, 0.4), substream(24, "init"))
+    before = g.adj.copy()
+    state = ProcessState(make_rule(name), g, seed=6)
+    state.step_many(_BLOCK + 5)
+    assert not np.array_equal(state.adj, before)
+    assert np.array_equal(g.adj, before)
 
 
 def test_process_needs_enough_vertices():
@@ -287,7 +297,7 @@ def test_any_split_of_the_steps_gives_the_same_state():
         split.step_many(count)
     while split.step_count < total:
         if rng.random() < 0.3:
-            split.step()
+            split.step_many(1)
         else:
             split.step_many(min(int(rng.integers(0, 3000)), total - split.step_count))
     assert split.step_count == total

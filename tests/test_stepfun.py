@@ -33,12 +33,16 @@ from flipflow import (
     substream,
     two_block,
 )
+from flipflow.stepfun import _TILE, block_counts
+
 from conftest import (
+    brute_block_counts,
     brute_cut_norm,
     brute_density,
     random_graphon,
     random_graphon_pair,
     random_kernel,
+    reference_sample_graph,
 )
 
 EDGE2 = LabeledGraph.from_edges(2, [(0, 1)])
@@ -233,6 +237,71 @@ def test_sample_graph_extremes_and_concentration():
     assert abs(counts[0] / 500 - 0.3) < 0.1
 
 
+UNEQUAL = {  # unequal masses on m = 1, 2 and 3 parts
+    1: constant(0.35),
+    2: two_block((0.3, 0.7), 0.9, 0.1, 0.5),
+    3: StepGraphon([0.2, 0.5, 0.3], [[0.9, 0.1, 0.4], [0.1, 0.6, 0.2], [0.4, 0.2, 0.05]]),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 77])
+def test_sample_graph_draws_as_the_row_loop(m, n):
+    # one tile at n <= _TILE, then the mirror and the counts cross tile
+    # and row-block boundaries
+    g = sample_graph(n, UNEQUAL[m], substream(n, "init"))
+    adj, parts = reference_sample_graph(n, UNEQUAL[m], substream(n, "init"))
+    assert g.adj.dtype == np.uint8
+    assert np.array_equal(g.adj, adj)
+    assert g.part_of == parts
+    counts = brute_block_counts(adj, parts, m)
+    assert np.array_equal(block_counts(g.adj, g.part_of, m), counts)
+    assert g.edge_count() == counts.sum() // 2
+
+
+@pytest.mark.parametrize("num_labels", [1, 3])
+def test_block_counts_of_a_complete_graph_are_exact(num_labels):
+    # the float32 partial sums are largest here; with one label the count
+    # n (n - 1) = 2 mod 4, above 2^25, is no float32 value
+    n = 5795
+    labels = np.arange(n) % num_labels
+    adj = np.ones((n, n), dtype=np.uint8)
+    np.fill_diagonal(adj, 0)
+    sizes = np.bincount(labels)
+    counts = block_counts(adj, labels, num_labels)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, np.outer(sizes, sizes) - np.diag(sizes))
+    assert np.array_equal(brute_block_counts(adj[:700, :700], labels[:700], num_labels),
+                          block_counts(adj[:700, :700], labels[:700], num_labels))
+
+
+FAR = 2 * _TILE + 60  # a vertex in the third tile
+
+
+@pytest.mark.parametrize("defect", ["entry 2", "asymmetric pair", "diagonal 1"])
+def test_sim_graph_rejects_a_defect_in_a_far_tile(defect):
+    n = FAR + 10
+    adj = sample_graph(n, constant(0.3), substream(30, "far")).adj
+    SimGraph(n, adj)  # the sampled graph itself passes
+    bad = adj.copy()
+    if defect == "entry 2":
+        bad[FAR, _TILE + 3] = bad[_TILE + 3, FAR] = 2
+    elif defect == "asymmetric pair":
+        bad[_TILE + 3, FAR] = 1 - bad[FAR, _TILE + 3]
+    else:
+        bad[FAR, FAR] = 1
+    with pytest.raises(ValueError, match="^adjacency must be a symmetric 0/1 matrix with a zero diagonal$"):
+        SimGraph(n, bad)
+
+
+def test_sim_graph_rejects_a_wrong_shape_and_a_short_part_assignment():
+    n = FAR + 10
+    with pytest.raises(ValueError, match=re.escape(f"adjacency must be {n}x{n}, got ({n}, {n + 1})")):
+        SimGraph(n, np.zeros((n, n + 1), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^part assignment must cover every vertex$"):
+        SimGraph(n, np.zeros((n, n), dtype=np.uint8), part_of=[0] * (n - 1))
+
+
 def test_stepped_conventions():
     n = 9
     g = SimGraph(n, part_of=[0] * 4 + [1] * 5)
@@ -317,12 +386,11 @@ def test_sim_graph_adjacency():
     g.add_edge(0, 2)
     g.add_edge(3, 1)
     assert g.adj.dtype == np.uint8
-    assert g.has_edge(2, 0) and g.has_edge(1, 3) and not g.has_edge(0, 1)
-    assert list(g.edges()) == [(0, 2), (1, 3)]
+    assert g.adj[2, 0] and g.adj[1, 3] and not g.adj[0, 1]
     assert g.edge_count() == 2
-    h = g.copy()
-    h.remove_edge(0, 2)
-    assert g.has_edge(0, 2) and not h.has_edge(0, 2)
+    h = SimGraph(4, g.adj, g.part_of)  # a given adjacency is copied
+    h.adj[0, 2] = h.adj[2, 0] = 0
+    assert g.adj[0, 2] and not h.adj[0, 2]
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
     for bad in ([[0, 1], [0, 0]], [[1, 0], [0, 0]], [[0, 2], [2, 0]], [[0]]):

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -32,7 +34,7 @@ from flipflow import (
 from flipflow import BUILTIN_RULES, LabeledGraph
 from flipflow.rules import deltas
 from flipflow.rules import make_rule
-from flipflow.velocity import VELOCITY_GUARD, _check_velocity_guard, _pattern_table
+from flipflow.velocity import MULTISET_CACHE_BYTES, VELOCITY_GUARD, _check_velocity_guard, _multisets, _pattern_table
 
 from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule, scalar_eval_poly
 
@@ -187,6 +189,27 @@ def test_zero_block_stays_zero_for_non_bridging_rules():
     ):
         vel = velocity(rule, block_diag).values
         assert vel[0, 1] == pytest.approx(0.0, abs=1e-13)
+
+
+def test_multiset_cache_keeps_no_set_above_its_byte_bound():
+    # (5, 30): 278,256 multisets of 45 8-byte entries, about 100 MB
+    rule, flat = extremist_rule(5), StepGraphon(np.full(30, 1 / 30), np.full((30, 30), 0.4))
+    assert comb(34, 5) * (5 + 4 * 10) * 8 > MULTISET_CACHE_BYTES
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        velocity(rule, flat)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * 10**6
+    # the largest set flows and the survey use, (4, 12), stays cached
+    VelocityPlan(extremist_rule(4), np.full(12, 1 / 12))
+    hits = _multisets.cache_info().hits
+    VelocityPlan(extremist_rule(4), np.full(12, 1 / 12))
+    assert _multisets.cache_info().hits == hits + 1
 
 
 def test_velocity_guard():
