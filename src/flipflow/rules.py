@@ -1,29 +1,30 @@
-"""Flip-process rules: replacement matrices over labeled k-vertex graphs.
+"""Flip-process rules: replacement distributions over labeled k-vertex graphs.
 
-A rule of order k is a row-stochastic matrix R indexed by the 2**C(k,2)
-labeled graphs; R[F][H] is the probability of replacing drawn pattern F
-by H.  Rows are stored sparsely as sorted (H index, probability) lists.
-Sampling uses the inverse CDF in ascending H-index order: the replacement
-is the first H whose cumulative probability exceeds the uniform variate
-u (bisect_right), which fixes the exact mapping from u to a replacement
-graph and keeps simulations bit-reproducible.  Every sampler bisects
-the same flat table of all rows, `Rule.replacement_table()`.
-
-The module also provides the derived tables used by the velocity
-operator: signed pair coefficients and the expected edge-change sequence
-over drawn-edge-count classes.
+A rule of order k gives each of the 2**C(k,2) labeled graphs F a row
+R[F], R[F][H] being the probability of replacing a drawn pattern F by H.
+Builders give many graphs one row (a stirring rule at k = 5 has 11 rows
+for 1,024 graphs), so a `Rule` holds `row_of[F]`, the index of F's
+distinct row, and the distinct rows' entries end to end in flat arrays;
+validation and the derived tables (the velocity operator's signed pair
+coefficients and expected edge-change sequence) are array operations
+over those entries.  Sampling uses the inverse CDF in ascending H order:
+the replacement is the first H whose cumulative probability exceeds the
+uniform variate u (bisect_right), which fixes the exact mapping from u
+to a replacement graph and keeps simulations bit-reproducible.  Every
+sampler bisects one flat table, `Rule.replacement_table()`.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain
+from functools import partial
+from itertools import chain
 from math import comb
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, NonStochasticRowError, UnsupportedOrderError
-from .graphs import LabeledGraph, check_order, complement, component_closure
+from .graphs import LabeledGraph, check_order, component_closure
 
 PROB_TOL = 1e-12  # absolute tolerance on probabilities and row sums
 
@@ -33,36 +34,62 @@ MAX_BUILDER_ORDER = 5
 
 
 class Rule:
-    """Order-k replacement rule with sparse rows and cached derived data."""
+    """Order-k replacement rule: `row_of[F]` indexes one table of distinct rows.
+
+    A row object passed for several graphs is one distinct row (builders
+    pass one object per distribution), numbered in order of first use.
+    `_entries` = (row, H, p) holds the distinct rows' entries end to end,
+    each row sorted by (H, p), and `replacement_table()` their CDFs;
+    `rows` rebuilds the per-graph lists of (H, p) when first read.
+    """
 
     def __init__(self, k: int, rows):
         check_order(k)
         self.k = k
         self.num_graphs = 1 << comb(k, 2)
         if len(rows) != self.num_graphs:
-            raise ValueError(
-                f"expected {self.num_graphs} rows for order {k}, got {len(rows)}"
-            )
-        # a row object passed for several graphs is normalised once and
-        # shared; each entry keeps its row alive, so ids stay unique
-        normalised = {}
-        self.rows = []
-        for f, row in enumerate(rows):
-            if id(row) not in normalised:
-                normalised[id(row)] = (row, sorted((int(h), float(p)) for h, p in row))
-            self.rows.append(normalised[id(row)][1])
-            if not self.rows[f]:
-                raise NonStochasticRowError(f, 1.0, "empty row")
-        self._table = None
-        self._pair_coeffs = None
-        self._deltas = None
+            raise ValueError(f"expected {self.num_graphs} rows for order {k}, got {len(rows)}")
+        rows = list(rows)  # keeps every row object alive, so their ids stay distinct
+        _, first, which = np.unique(np.fromiter(map(id, rows), np.uintp, len(rows)), return_index=True, return_inverse=True)
+        used = np.argsort(first)  # distinct rows in order of first use
+        self.row_of = np.argsort(used)[which]
+        distinct = [rows[f] for f in first[used].tolist()]
+        lengths = np.array([len(row) for row in distinct])
+        if lengths.min() == 0:
+            raise NonStochasticRowError(int(np.argmax(lengths[self.row_of] == 0)), 1.0, "empty row")
+        r = np.repeat(np.arange(len(lengths)), lengths)
+        h, p = zip(*chain.from_iterable(distinct), strict=True)  # every entry an (H, p) pair
+        h = np.fromiter(map(int, h), np.int64, len(r))
+        p = np.fromiter(map(float, p), float, len(r))
+        if not np.all((h[1:] > h[:-1]) | (r[1:] != r[:-1])):  # rows not yet sorted by H
+            order = np.lexsort((p, h, r))
+            h, p = h[order], p[order]
+        self._entries = (r, h, p)
+
+        # row r fills slots starts[r] to starts[r + 1] - 1: its entries,
+        # then a sentinel slot repeating its last H and CDF value
+        starts = np.concatenate(([0], np.cumsum(lengths + 1)))
+        sentinel, slot = starts[1:] - 1, np.arange(len(r)) + r
+        targets, cdf = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
+        targets[slot] = h
+        # each row's CDF adds its entries in order, as `accumulate` would:
+        # one cumsum along the rows of each length
+        for length in set(lengths.tolist()):
+            at = np.flatnonzero(lengths[r] == length)
+            cdf[slot[at]] = np.cumsum(p[at].reshape(-1, length), axis=1).ravel()
+        targets[sentinel], cdf[sentinel] = targets[sentinel - 1], cdf[sentinel - 1]
+        self._table = (targets, cdf, starts)
+        # per graph, the first and last entry of its row
+        self._first, self._last = starts[self.row_of], sentinel[self.row_of] - 1
+        self._rounds = int(lengths.max() - 1).bit_length()
+        for a in (self.row_of, r, h, p, targets, cdf, starts, self._first, self._last):
+            a.flags.writeable = False
+        self._rows = self._pair_coeffs = self._deltas = None
 
     @classmethod
     def from_row_map(cls, k: int, row_map: dict) -> "Rule":
-        """Build from {F index: [(H index, prob), ...]}; missing rows idle.
-
-        A key outside [0, 2**C(k,2)) raises NonStochasticRowError.
-        """
+        """Build from {F index: [(H index, prob), ...]}; missing rows idle,
+        and a key outside [0, 2**C(k,2)) raises NonStochasticRowError."""
         num_graphs = 1 << comb(k, 2)
         for f in row_map:
             if not 0 <= f < num_graphs:
@@ -70,66 +97,83 @@ class Rule:
         return cls(k, [row_map.get(f, [(f, 1.0)]) for f in range(num_graphs)])
 
     def replacement_table(self):
-        """Read-only arrays (targets, cdf, starts) holding every row in order.
+        """Read-only arrays (targets, cdf, starts) holding every distinct row in order.
 
-        Row f fills slots starts[f] to starts[f + 1] - 1: its H indices,
+        Row r fills slots starts[r] to starts[r + 1] - 1: its H indices,
         ascending, with their cumulative probabilities, then a sentinel
-        slot repeating the last H, which `bisect_right(cdf, u, starts[f],
-        starts[f + 1] - 1)` reaches when rounding leaves the row short of u.
+        slot repeating the last H, which `bisect_right(cdf, u, starts[r],
+        starts[r + 1] - 1)` reaches when rounding leaves the row short of u.
         """
-        if self._table is None:
-            targets, cdf, starts = [], [], [0]
-            for row in self.rows:
-                targets += [h for h, _ in row]
-                targets.append(targets[-1])
-                cdf += accumulate(p for _, p in row)
-                cdf.append(cdf[-1])
-                starts.append(len(cdf))
-            self._table = tuple(np.array(a) for a in (targets, cdf, starts))
-            self._bisect_rounds = max(map(len, self.rows)).bit_length()
-            for a in self._table:
-                a.flags.writeable = False
         return self._table
 
     def sample_replacements(self, drawn: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Replacement indices for drawn graphs `drawn` and uniform variates `u`:
-        `bisect_right(cdf, u, starts[f], starts[f + 1] - 1)` on each drawn
-        row f of `replacement_table()`, run on all at once."""
-        targets, cdf, starts = self.replacement_table()
-        lo, hi = starts[drawn], starts[drawn + 1] - 1
-        # hi - lo is at most the longest row's length, and halves each round
-        for _ in range(self._bisect_rounds):
+        `bisect_right(cdf, u, starts[r], starts[r + 1] - 1)` on the row
+        r = row_of[F] of each drawn F, run on all at once.  The search
+        spans a row's entries only (a variate past the last CDF value stops
+        on the last entry, whose H the sentinel repeats), so it takes
+        bit_length(longest row - 1) rounds, none for a deterministic rule.
+        """
+        targets, cdf, _ = self._table
+        lo, hi = self._first[drawn], self._last[drawn]
+        for _ in range(self._rounds):
             mid = (lo + hi) // 2
             left = u < cdf[mid]
             lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
         return targets[lo]
+
+    @property
+    def rows(self) -> list:
+        """Per graph F, its row as (H, p) pairs sorted by H; graphs of one distinct row share a list."""
+        if self._rows is None:
+            _, h, p = self._entries
+            entries = list(zip(h.tolist(), p.tolist()))
+            bounds = (self._table[2] - np.arange(len(self._table[2]))).tolist()  # each row's first entry
+            distinct = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+            self._rows = [distinct[r] for r in self.row_of.tolist()]
+        return self._rows
 
     def __repr__(self):
         return f"Rule(k={self.k}, graphs={self.num_graphs})"
 
 
 def validate(rule: Rule) -> None:
-    """Check row-stochasticity; raise NonStochasticRowError on the worst row."""
-    worst_row, worst_residual = -1, 0.0
-    for f, row in enumerate(rule.rows):
-        seen = set()
-        for h, p in row:
-            if not 0 <= h < rule.num_graphs:
-                raise NonStochasticRowError(f, 0.0, f"H index {h} out of range")
-            if h in seen:
-                raise NonStochasticRowError(f, 0.0, f"duplicate H index {h}")
-            seen.add(h)
-            if not -PROB_TOL <= p <= 1 + PROB_TOL:  # also rejects NaN
-                raise NonStochasticRowError(f, 0.0, f"probability {p} outside [0, 1]")
-        residual = abs(sum(p for _, p in row) - 1.0)
-        if residual > worst_residual:
-            worst_row, worst_residual = f, residual
-    if worst_residual > PROB_TOL:
-        raise NonStochasticRowError(worst_row, worst_residual)
+    """Check row-stochasticity.  NonStochasticRowError names the first bad
+    entry in F order (an H index out of range, a duplicate H index or a
+    probability outside [0, 1], checked in that order), else the first F
+    whose row sum is farthest from 1, if farther than PROB_TOL."""
+    r, h, p = rule._entries
+    _, cdf, starts = rule._table
+    repeat = np.concatenate(([False], (h[1:] == h[:-1]) & (r[1:] == r[:-1])))
+    faults = np.stack(((h < 0) | (h >= rule.num_graphs), repeat, ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))))
+    bad = faults.any(axis=0)
+    if bad.any():
+        f = int(np.argmax(np.isin(rule.row_of, r[bad])))  # the first F drawing a bad row
+        e = int(np.argmax(bad & (r == rule.row_of[f])))
+        detail = (f"H index {h[e]} out of range", f"duplicate H index {h[e]}", f"probability {float(p[e])} outside [0, 1]")
+        raise NonStochasticRowError(f, 0.0, detail[int(np.argmax(faults[:, e]))])
+    residual = np.abs(cdf[starts[1:] - 1] - 1.0)[rule.row_of]
+    f = int(np.argmax(residual))
+    if residual[f] > PROB_TOL:
+        raise NonStochasticRowError(f, float(residual[f]))
 
 
 # ---------------------------------------------------------------------------
 # Derived tables
+
+
+def _row_sums(rule: Rule, terms: np.ndarray) -> np.ndarray:
+    """(distinct rows, c) sums of the entry rows of `terms` (entries, c),
+    added in entry order as a loop over each row would add them."""
+    r = rule._entries[0]
+    nrows, c = len(rule._table[2]) - 1, terms.shape[1]
+    bins = r[:, None] * c + np.arange(c)
+    return np.bincount(bins.ravel(), weights=terms.ravel(), minlength=nrows * c).reshape(nrows, c)
+
+
+def _edge_bits(graphs: np.ndarray, npairs: int) -> np.ndarray:
+    """(len(graphs), npairs) 0/1 pair indicators of graph indices."""
+    return (graphs[:, None] >> np.arange(npairs)) & 1
 
 
 def pair_coefficients(rule: Rule) -> np.ndarray:
@@ -145,29 +189,14 @@ def pair_coefficients(rule: Rule) -> np.ndarray:
     if rule._pair_coeffs is not None:
         return rule._pair_coeffs
     npairs = comb(rule.k, 2)
-    # rows shared by several graphs (`Rule.__init__` keeps one object per
-    # row passed) are summed once
-    _, first, which = np.unique(
-        np.array([id(row) for row in rule.rows]), return_index=True, return_inverse=True
-    )
-    distinct = [rule.rows[f] for f in first]
-    lengths = [len(row) for row in distinct]
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(distinct)), dtype=float, count=2 * sum(lengths)
-    ).reshape(-1, 2)
-    r = np.repeat(np.arange(len(distinct), dtype=np.int64), lengths)
-    h = flat[:, 0].astype(np.int64)
-    p = flat[:, 1]
+    _, h, p = rule._entries
     # per distinct row and pair position, the sums of p * (h_pos - f_pos)
-    # for an F without the pair and with it: one bincount, in which the
-    # entries of each sum add in row order, as a loop over the rows
-    # would, and p * 0 adds an exact zero where the pair is unchanged
-    h_bits = (h[:, None] >> np.arange(npairs)) & 1
+    # for an F without the pair and with it; p * 0 adds an exact zero
+    # where the pair is unchanged
+    h_bits = _edge_bits(h, npairs)
     terms = np.stack((p[:, None] * h_bits, p[:, None] * (h_bits - 1)), axis=2)
-    bins = r[:, None] * (2 * npairs) + np.arange(2 * npairs)
-    sums = np.bincount(bins.ravel(), weights=terms.ravel(), minlength=len(distinct) * 2 * npairs)
-    sums = sums.reshape(len(distinct), npairs, 2)[which]
-    f_bits = (np.arange(rule.num_graphs)[:, None] >> np.arange(npairs)) & 1
+    sums = _row_sums(rule, terms.reshape(len(h), -1)).reshape(-1, npairs, 2)[rule.row_of]
+    f_bits = _edge_bits(np.arange(rule.num_graphs), npairs)
     coeff = np.where(f_bits, sums[:, :, 1], sums[:, :, 0])
     coeff.flags.writeable = False
     rule._pair_coeffs = coeff
@@ -183,13 +212,14 @@ def deltas(rule: Rule) -> np.ndarray:
     if rule._deltas is not None:
         return rule._deltas
     npairs = comb(rule.k, 2)
-    sums = np.zeros(npairs + 1)
-    for f, row in enumerate(rule.rows):
-        ell = f.bit_count()
-        change = sum(p * (h.bit_count() - ell) for h, p in row)
-        sums[ell] += change
-    counts = np.array([comb(npairs, ell) for ell in range(npairs + 1)], dtype=float)
-    out = sums / counts
+    _, h, p = rule._entries
+    ells = np.arange(npairs + 1)
+    # per distinct row and edge count ell, the sum of p * (e(H) - ell);
+    # then per ell the sum over its graphs F in index order
+    change = _row_sums(rule, p[:, None] * (_edge_bits(h, npairs).sum(axis=1)[:, None] - ells))
+    f_ell = _edge_bits(np.arange(rule.num_graphs), npairs).sum(axis=1)
+    sums = np.bincount(f_ell, weights=change[rule.row_of, f_ell], minlength=npairs + 1)
+    out = sums / np.array([comb(npairs, ell) for ell in range(npairs + 1)], dtype=float)
     out.flags.writeable = False
     rule._deltas = out
     return out
@@ -200,23 +230,33 @@ def is_trivial(rule: Rule) -> bool:
     return len(idle_graphs(rule)) == rule.num_graphs
 
 
+def _own_entries(rule: Rule) -> np.ndarray:
+    """Mask of the entries (H, p) whose H draws their row: the (F, p) entries of the R[F]."""
+    r, h, _ = rule._entries
+    own = (h >= 0) & (h < rule.num_graphs)
+    own[own] = rule.row_of[h[own]] == r[own]
+    return own
+
+
 def idle_graphs(rule: Rule) -> set[int]:
     """Indices F with R[F][F] = 1 (up to probability tolerance)."""
-    idle = set()
-    for f, row in enumerate(rule.rows):
-        for h, p in row:
-            if h == f and abs(p - 1.0) <= PROB_TOL:
-                idle.add(f)
-    return idle
+    _, h, p = rule._entries
+    return set(h[_own_entries(rule) & (np.abs(p - 1.0) <= PROB_TOL)].tolist())
 
 
 # ---------------------------------------------------------------------------
 # Builders for the example rule families
 
 
+def _deterministic_rule(k: int, targets) -> Rule:
+    """Each drawn graph F is replaced by targets[F]; graphs with one target share a row."""
+    point = {h: [(h, 1.0)] for h in set(targets)}
+    return Rule(k, list(map(point.__getitem__, targets)))
+
+
 def erdos_renyi_rule() -> Rule:
     """Order 2: every drawn pair becomes an edge."""
-    return Rule(2, [[(1, 1.0)], [(1, 1.0)]])
+    return _deterministic_rule(2, [1, 1])
 
 
 def triangle_removal_rule() -> Rule:
@@ -226,34 +266,22 @@ def triangle_removal_rule() -> Rule:
 
 def removal_rule(pattern: LabeledGraph) -> Rule:
     """Drawn supergraphs of `pattern` lose its edges; others idle."""
-    k = pattern.k
-    if k > MAX_BUILDER_ORDER:
-        raise UnsupportedOrderError(f"dense builder limited to k <= {MAX_BUILDER_ORDER}")
-    fbits = pattern.edges
-    rows = []
-    for h in range(1 << comb(k, 2)):
-        if h & fbits == fbits:
-            rows.append([(h & ~fbits, 1.0)])
-        else:
-            rows.append([(h, 1.0)])
-    return Rule(k, rows)
+    k, fbits = pattern.k, pattern.edges
+    _check_builder_order(k)
+    return _deterministic_rule(k, [h & ~fbits if h & fbits == fbits else h for h in range(1 << comb(k, 2))])
 
 
 def complementing_rule(k: int) -> Rule:
     """Each drawn graph is replaced by its complement."""
     _check_builder_order(k)
-    rows = [[(complement(LabeledGraph(k, f)).edges, 1.0)] for f in range(1 << comb(k, 2))]
-    return Rule(k, rows)
+    full = (1 << comb(k, 2)) - 1
+    return _deterministic_rule(k, [full ^ f for f in range(full + 1)])
 
 
 def component_completion_rule(k: int) -> Rule:
     """Each drawn graph is replaced by its component closure."""
     _check_builder_order(k)
-    rows = [
-        [(component_closure(LabeledGraph(k, f)).edges, 1.0)]
-        for f in range(1 << comb(k, 2))
-    ]
-    return Rule(k, rows)
+    return _deterministic_rule(k, [component_closure(LabeledGraph(k, f)).edges for f in range(1 << comb(k, 2))])
 
 
 def stirring_rule(k: int, variant: str = "firm") -> Rule:
@@ -264,20 +292,17 @@ def stirring_rule(k: int, variant: str = "firm") -> Rule:
     if variant not in ("firm", "loose"):
         raise ValueError(f"stirring variant must be 'firm' or 'loose', got {variant!r}")
     npairs = comb(k, 2)
-    ngraphs = 1 << npairs
-    by_count = [[] for _ in range(npairs + 1)]
-    for h in range(ngraphs):
-        by_count[h.bit_count()].append(h)
-    # every row depends only on the drawn edge count ell
-    if variant == "firm":
-        by_ell = [[(h, 1.0 / len(peers)) for h in peers] for peers in by_count]
-    else:
-        by_ell = []
-        for ell in range(npairs + 1):
+    edges = [h.bit_count() for h in range(1 << npairs)]
+    # every row depends only on the drawn edge count ell: one row per ell
+    by_ell = []
+    for ell in range(npairs + 1):
+        if variant == "firm":
+            probs = [1.0 / comb(npairs, ell) if e == ell else 0.0 for e in range(npairs + 1)]
+        else:
             p = ell / npairs
             probs = [p**e * (1 - p) ** (npairs - e) for e in range(npairs + 1)]
-            by_ell.append([(h, probs[h.bit_count()]) for h in range(ngraphs) if probs[h.bit_count()] > 0.0])
-    return Rule(k, [by_ell[f.bit_count()] for f in range(ngraphs)])
+        by_ell.append([(h, probs[e]) for h, e in enumerate(edges) if probs[e] > 0.0])
+    return Rule(k, [by_ell[e] for e in edges])
 
 
 def extremist_rule(k: int) -> Rule:
@@ -292,16 +317,8 @@ def extremist_rule(k: int) -> Rule:
     npairs = comb(k, 2)
     full = (1 << npairs) - 1
     half = npairs / 2
-    rows = []
-    for f in range(full + 1):
-        ell = f.bit_count()
-        if ell > half:
-            rows.append([(full, 1.0)])
-        elif ell < half:
-            rows.append([(0, 1.0)])
-        else:
-            rows.append([(f, 1.0)])
-    return Rule(k, rows)
+    edges = [f.bit_count() for f in range(full + 1)]
+    return _deterministic_rule(k, [full if e > half else 0 if e < half else f for f, e in enumerate(edges)])
 
 
 def ignorant_rule(k: int, dist) -> Rule:
@@ -319,21 +336,11 @@ def ignorant_rule(k: int, dist) -> Rule:
     return Rule(k, [row] * ngraphs)
 
 
-def _average_density(dist) -> float:
-    """Mean edge density of a replacement distribution over order-k graphs."""
-    dist = np.asarray(dist, dtype=float)
-    ngraphs = len(dist)
-    npairs = (ngraphs - 1).bit_length()
-    edges = np.array([h.bit_count() for h in range(ngraphs)], dtype=float)
-    return float(np.dot(dist, edges) / npairs)
-
-
 def _check_builder_order(k: int) -> None:
     check_order(k)
     if k > MAX_BUILDER_ORDER:
         raise UnsupportedOrderError(
-            f"dense builders are limited to k <= {MAX_BUILDER_ORDER}; "
-            f"supply k = 6 rules via sparse rule files"
+            f"dense builders are limited to k <= {MAX_BUILDER_ORDER}; supply k = 6 rules via sparse rule files"
         )
 
 
@@ -345,12 +352,10 @@ def _check_builder_order(k: int) -> None:
 
 
 def save_rule(rule: Rule, path) -> None:
-    rows = []
-    for f, row in enumerate(rule.rows):
-        if row == [(f, 1.0)]:
-            continue  # idle rows are implicit
-        rows.append([f, [[h, p] for h, p in row]])
-    payload = {"k": rule.k, "rows": rows}
+    r, h, p = rule._entries
+    lone = np.diff(rule._table[2])[r] == 2  # an entry and its sentinel
+    implicit = set(h[_own_entries(rule) & lone & (p == 1.0)].tolist())  # the idle rows [(F, 1.0)]
+    payload = {"k": rule.k, "rows": [[f, row] for f, row in enumerate(rule.rows) if f not in implicit]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -382,53 +387,40 @@ def load_rule(path) -> Rule:
 # Named registry used by the CLI and the property suites
 
 
-def _uniform_dist(k: int) -> np.ndarray:
-    n = 1 << comb(k, 2)
-    return np.full(n, 1.0 / n)
-
+_FAMILIES = {  # the parameterized specs <family>:<k>
+    "complementing": complementing_rule,
+    "component-completion": component_completion_rule,
+    "stirring-firm": lambda k: stirring_rule(k, "firm"),
+    "stirring-loose": lambda k: stirring_rule(k, "loose"),
+    "extremist": extremist_rule,
+    "ignorant-uniform": lambda k: ignorant_rule(k, np.full(1 << comb(k, 2), 1.0 / (1 << comb(k, 2)))),
+}
 
 BUILTIN_RULES = {
     "er": erdos_renyi_rule,
     "triangle-removal": triangle_removal_rule,
     "edge-removal": lambda: removal_rule(LabeledGraph.from_edges(3, [(0, 1)])),
-    "complementing:3": lambda: complementing_rule(3),
-    "component-completion:3": lambda: component_completion_rule(3),
-    "stirring-firm:3": lambda: stirring_rule(3, "firm"),
-    "stirring-loose:3": lambda: stirring_rule(3, "loose"),
-    "extremist:3": lambda: extremist_rule(3),
-    "extremist:4": lambda: extremist_rule(4),
-    "extremist:5": lambda: extremist_rule(5),
-    "ignorant-uniform:3": lambda: ignorant_rule(3, _uniform_dist(3)),
+    **{
+        f"{family}:{k}": partial(_FAMILIES[family], k)
+        for family, k in [("complementing", 3), ("component-completion", 3), ("stirring-firm", 3),
+                          ("stirring-loose", 3), ("extremist", 3), ("extremist", 4), ("extremist", 5),
+                          ("ignorant-uniform", 3)]
+    },
 }
 
 
 def make_rule(spec: str) -> Rule:
-    """Build a rule from a CLI spec string.
-
-    Accepts registry names plus parameterized forms:
-    ``removal:<k>:<F index>``, ``complementing:<k>``,
-    ``component-completion:<k>``, ``stirring-firm:<k>``,
-    ``stirring-loose:<k>``, ``extremist:<k>``, ``ignorant-uniform:<k>``.
+    """Build a rule from a CLI spec string: a registry name,
+    ``removal:<k>:<F index>`` or ``<family>:<k>`` for a family in `_FAMILIES`.
     """
     if spec in BUILTIN_RULES:
         return BUILTIN_RULES[spec]()
-    parts = spec.split(":")
-    head = parts[0]
+    head, *args = spec.split(":")
     try:
-        if head == "removal" and len(parts) == 3:
-            return removal_rule(LabeledGraph.from_index(int(parts[1]), int(parts[2])))
-        if head == "complementing" and len(parts) == 2:
-            return complementing_rule(int(parts[1]))
-        if head == "component-completion" and len(parts) == 2:
-            return component_completion_rule(int(parts[1]))
-        if head == "stirring-firm" and len(parts) == 2:
-            return stirring_rule(int(parts[1]), "firm")
-        if head == "stirring-loose" and len(parts) == 2:
-            return stirring_rule(int(parts[1]), "loose")
-        if head == "extremist" and len(parts) == 2:
-            return extremist_rule(int(parts[1]))
-        if head == "ignorant-uniform" and len(parts) == 2:
-            return ignorant_rule(int(parts[1]), _uniform_dist(int(parts[1])))
+        if head == "removal" and len(args) == 2:
+            return removal_rule(LabeledGraph.from_index(int(args[0]), int(args[1])))
+        if head in _FAMILIES and len(args) == 1:
+            return _FAMILIES[head](int(args[0]))
     except ValueError as exc:
         raise ValueError(f"bad rule spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown rule spec {spec!r}")

@@ -117,24 +117,17 @@ def _pattern_table(rule: Rule) -> _PatternTable:
     cached = getattr(rule, "_pattern_table", None)
     if cached is not None:
         return cached
-    k = rule.k
-    pairs = pair_list(k)
     table = np.array(pair_coefficients(rule))
     ngraphs, npairs = table.shape
-    bits = _bit_table(npairs)
-    for j in range(1, k):
+    for level in _relabelings(rule.k):
         total = table.copy()
-        for i in range(j):
-            perm = list(range(k))
-            perm[i], perm[j] = j, i
-            # relabeled[F, p] = table[perm F, perm p]
-            target = np.array([pair_position(k, perm[a], perm[b]) for a, b in pairs])
-            total += table[np.ix_(bits @ (1 << target), target)]
-        table = total / (j + 1)
+        for graphs, target in level:
+            total += table.take(graphs[:, None] * npairs + target)
+        table = total / (len(level) + 1)
 
     support = np.flatnonzero(np.any(table != 0.0, axis=1))
     if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
-        index = (_factor_index(0, bits[support]),)
+        index = (_factor_index(0, _bit_table(npairs)[support]),)
         out = _PatternTable(table[support], index, max(len(support) * npairs, 1))
     else:
         h = npairs // 2
@@ -146,6 +139,20 @@ def _pattern_table(rule: Rule) -> _PatternTable:
         arr.flags.writeable = False
     rule._pattern_table = out
     return out
+
+
+@lru_cache(maxsize=None)
+def _relabelings(k: int) -> list:
+    """Per j = 1..k-1, for each transposition perm = (i j), i < j, the
+    indices (perm F for every graph F, perm p for every pair position p)
+    that relabel a table: relabeled[F, p] = table[perm F, perm p]."""
+    pairs = pair_list(k)
+    levels = [[] for _ in range(k - 1)]
+    for i, j in pairs:  # i ascending for each j
+        swap = {i: j, j: i}
+        target = np.array([pair_position(k, swap.get(a, a), swap.get(b, b)) for a, b in pairs])
+        levels[j - 1].append((_bit_table(len(pairs)) @ (1 << target), target))
+    return levels
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,8 @@ def sequential_steps(rule: Rule, graph, seed: int, steps: int):
             variates = replace_rng.random(_BLOCK).tolist()
         tup = replay_tuple(columns, at)
         f = sum(adj[tup[a]][tup[b]] << p for p, (a, b) in pairs)
-        h = targets[bisect_right(cdf, variates[at], starts[f], starts[f + 1] - 1)]
+        r = rule.row_of[f]
+        h = targets[bisect_right(cdf, variates[at], starts[r], starts[r + 1] - 1)]
         for p, (a, b) in pairs:
             adj[tup[a]][tup[b]] = adj[tup[b]][tup[a]] = h >> p & 1
     m = graph.num_parts
@@ -274,7 +275,8 @@ def sequential_drift(rule: Rule, graph, parts, samples: int, seed: int):
     for at in range(samples):
         tup = replay_tuple(columns, at)
         f = induced_pattern(graph, tup).edges
-        h = targets[bisect_right(cdf, variates[at], starts[f], starts[f + 1] - 1)]
+        r = rule.row_of[f]
+        h = targets[bisect_right(cdf, variates[at], starts[r], starts[r + 1] - 1)]
         delta = 0.0
         for p, (a, b) in pairs:
             if {graph.part_of[tup[a]], graph.part_of[tup[b]]} == {i, j}:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from bisect import bisect_right
 from itertools import accumulate
 from math import comb
@@ -13,6 +14,7 @@ from flipflow import (
     NonFiniteValueError,
     NonStochasticRowError,
     Rule,
+    UnsupportedOrderError,
     complementing_rule,
     component_completion_rule,
     deltas,
@@ -32,7 +34,6 @@ from flipflow import (
     validate,
 )
 from flipflow.graphs import pair_position
-from flipflow.rules import _average_density
 
 from conftest import brute_pair_coefficients, random_rule
 
@@ -164,7 +165,7 @@ def test_ignorant_rule():
     uniform = np.full(8, 1 / 8)
     rule = ignorant_rule(3, uniform)
     validate(rule)
-    assert abs(_average_density(uniform) - 0.5) < 1e-15
+    assert abs(uniform @ [h.bit_count() for h in range(8)] / 3 - 0.5) < 1e-15  # mean edge density
     with pytest.raises(NonStochasticRowError):
         ignorant_rule(3, np.full(8, 0.1))
 
@@ -384,3 +385,95 @@ def test_order_six_rule_via_sparse_file(tmp_path):
     # six matched ordered root pairs, each deleted when the whole
     # matching is drawn: -6 * d^3 at a constant graphon
     assert vel == pytest.approx(-6 * 0.5**3, abs=1e-12)
+
+
+def _held_bytes(rule) -> int:
+    """Bytes of every array a rule holds, its table included."""
+    arrays = [a for v in vars(rule).values() for a in (v if isinstance(v, tuple) else [v])]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("spec", ["stirring-loose:5", "ignorant-uniform:5", "stirring-firm:5", "extremist:5"])
+def test_rules_hold_one_table_row_per_distinct_row(spec):
+    # stirring and ignorant rules have 11 and 1 distinct rows for 1,024
+    # graphs; a table of one row per graph held 16.8 MB at k = 5
+    rule = make_rule(spec)
+    targets, cdf, starts = rule.replacement_table()
+    distinct = {id(row): row for row in rule.rows}
+    assert len(starts) == len(distinct) + 1 == rule.row_of.max() + 2
+    assert len(targets) == len(cdf) == starts[-1] == sum(len(row) + 1 for row in distinct.values())
+    assert _held_bytes(rule) <= 1_000_000
+    # one entry per row: the sampler runs no bisection round
+    assert (rule._rounds == 0) == (spec == "extremist:5")
+
+
+def test_builders_share_the_rows_of_equal_distributions():
+    assert len(set(map(id, extremist_rule(5).rows))) == 2 + comb(10, 5)  # complete, empty, idle
+    assert len(set(map(id, triangle_removal_rule().rows))) == 7  # the triangle's row is the empty graph's
+    assert len(set(map(id, stirring_rule(5, "loose").rows))) == 11
+
+
+def test_rule_rejects_a_wrong_row_count_and_entries_that_are_not_pairs():
+    with pytest.raises(ValueError, match=r"^expected 8 rows for order 3, got 7$"):
+        Rule(3, [[(0, 1.0)]] * 7)
+    for rows in ([[(0, 1.0, 5)], [(1, 1.0)]], [[(0, 1.0)], [(1, 0.5), (0,)]], [[(0, 1.0, 5)], [(1, 1.0, 3)]]):
+        with pytest.raises(ValueError):
+            Rule(2, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, row, detail",
+    [
+        ([[(0, 1.0)], [(4, 1.0)]], 1, "H index 4 out of range"),
+        ([[(-1, 1.0)], [(1, 1.0)]], 0, "H index -1 out of range"),
+        ([[(1, 0.5), (0, 0.2), (1, 0.3)], [(1, 1.0)]], 0, "duplicate H index 1"),
+        # the first bad entry in F order, by ascending H within a row,
+        # and of its faults the first in the order range, duplicate, probability
+        ([[(0, 0.4), (1, 0.6)], [(3, 0.5), (0, 1.5)], [(9, 2.0)], [(3, 1.0)]], 1, "probability 1.5 outside"),
+        ([[(0, 1.0)], [(1, 1.0)], [(9, 2.0)], [(3, 0.5), (3, 0.5)]], 2, "H index 9 out of range"),
+        # an entry fault is named before any row-sum residual
+        ([[(0, 0.5)], [(1, 1.0)], [(2, 1.0)], [(3, float("inf"))]], 3, "probability inf outside"),
+    ],
+)
+def test_validate_names_the_first_bad_entry(rows, row, detail):
+    k = 2 if len(rows) == 2 else 3
+    rows = rows + [[(f, 1.0)] for f in range(len(rows), 1 << comb(k, 2))]
+    with pytest.raises(NonStochasticRowError, match=f"^rule row {row} is not stochastic .*: {re.escape(detail)}") as err:
+        validate(Rule(k, rows))
+    assert err.value.row == row
+    assert err.value.residual == 0.0
+
+
+def test_validate_names_the_first_graph_of_the_worst_shared_row():
+    # F 2 and F 4 share a row short by 0.01, F 5 has its own row short by
+    # the same amount: F 2 comes first
+    short, shorter = [(0, 0.995)], [(5, 0.99)]
+    rows = [[(0, 1.0)], short, shorter, short, shorter, [(5, 0.99)], [(6, 1.0)], [(7, 1.0)]]
+    with pytest.raises(NonStochasticRowError) as err:
+        validate(Rule(3, rows))
+    assert err.value.row == 2
+    assert abs(err.value.residual - 0.01) < 1e-15
+
+
+def test_builders_reject_orders_they_cannot_build():
+    with pytest.raises(UnsupportedOrderError, match="^dense builders are limited to k <= 5; supply k = 6"):
+        removal_rule(LabeledGraph.from_index(6, 1))
+    with pytest.raises(UnsupportedOrderError, match="^extremist rule needs k >= 3$"):
+        extremist_rule(2)
+    with pytest.raises(ValueError, match=r"^distribution must have length 8$"):
+        ignorant_rule(3, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("extremist:x", "bad rule spec 'extremist:x': invalid literal for int() with base 10: 'x'"),
+        ("extremist:2", "bad rule spec 'extremist:2': extremist rule needs k >= 3"),
+        ("removal:3:8", "bad rule spec 'removal:3:8': edge bitset 8 out of range for order 3"),
+        ("stirring-loose:3:1", "unknown rule spec 'stirring-loose:3:1'"),
+    ],
+)
+def test_make_rule_names_a_bad_spec(spec, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as err:
+        make_rule(spec)
+    assert type(err.value) is ValueError
