@@ -74,9 +74,6 @@ class LabeledGraph:
             bits |= 1 << pair_position(k, a, b)
         return cls(k, bits)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.edges >> pair_position(self.k, a, b) & 1)
-
     def edge_pairs(self) -> list[tuple[int, int]]:
         pairs = pair_list(self.k)
         return [pairs[p] for p in range(len(pairs)) if self.edges >> p & 1]

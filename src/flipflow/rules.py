@@ -17,7 +17,6 @@ sampler bisects one flat table, `Rule.replacement_table()`.
 from __future__ import annotations
 
 import json
-from functools import partial
 from itertools import chain
 from math import comb
 
@@ -59,15 +58,16 @@ class Rule:
             raise NonStochasticRowError(int(np.argmax(lengths[self.row_of] == 0)), 1.0, "empty row")
         r = np.repeat(np.arange(len(lengths)), lengths)
         h, p = zip(*chain.from_iterable(distinct), strict=True)  # every entry an (H, p) pair
-        h = np.fromiter(map(int, h), np.int64, len(r))
+        try:
+            h = np.fromiter(map(int, h), np.int64, len(r))
+        except OverflowError:  # an H index beyond int64 is out of range: name the first graph holding one
+            e = next(e for e, x in enumerate(h) if not -(1 << 63) <= int(x) < 1 << 63)
+            raise NonStochasticRowError(int(np.argmax(self.row_of == r[e])), 0.0, f"H index {int(h[e])} out of range") from None
         p = np.fromiter(map(float, p), float, len(r))
-        if not np.all((h[1:] > h[:-1]) | (r[1:] != r[:-1])):  # rows not yet sorted by H
-            order = np.lexsort((p, h, r))
-            h, p = h[order], p[order]
+        order = np.lexsort((p, h, r))
+        h, p = h[order], p[order]
         self._entries = (r, h, p)
-
-        # row r fills slots starts[r] to starts[r + 1] - 1: its entries,
-        # then a sentinel slot repeating its last H and CDF value
+        # the table of `replacement_table()`: each row's entries, then its sentinel slot
         starts = np.concatenate(([0], np.cumsum(lengths + 1)))
         sentinel, slot = starts[1:] - 1, np.arange(len(r)) + r
         targets, cdf = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
@@ -126,11 +126,10 @@ class Rule:
     def rows(self) -> list:
         """Per graph F, its row as (H, p) pairs sorted by H; graphs of one distinct row share a list."""
         if self._rows is None:
-            _, h, p = self._entries
-            entries = list(zip(h.tolist(), p.tolist()))
-            bounds = (self._table[2] - np.arange(len(self._table[2]))).tolist()  # each row's first entry
-            distinct = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
-            self._rows = [distinct[r] for r in self.row_of.tolist()]
+            r, h, p = self._entries
+            cut = np.flatnonzero(r[1:] != r[:-1]) + 1  # each row's first entry but the first row's
+            distinct = [list(zip(a.tolist(), b.tolist())) for a, b in zip(np.split(h, cut), np.split(p, cut))]
+            self._rows = [distinct[i] for i in self.row_of.tolist()]
         return self._rows
 
     def __repr__(self):
@@ -230,18 +229,13 @@ def is_trivial(rule: Rule) -> bool:
     return len(idle_graphs(rule)) == rule.num_graphs
 
 
-def _own_entries(rule: Rule) -> np.ndarray:
-    """Mask of the entries (H, p) whose H draws their row: the (F, p) entries of the R[F]."""
-    r, h, _ = rule._entries
-    own = (h >= 0) & (h < rule.num_graphs)
-    own[own] = rule.row_of[h[own]] == r[own]
-    return own
-
-
 def idle_graphs(rule: Rule) -> set[int]:
     """Indices F with R[F][F] = 1 (up to probability tolerance)."""
-    _, h, p = rule._entries
-    return set(h[_own_entries(rule) & (np.abs(p - 1.0) <= PROB_TOL)].tolist())
+    r, h, p = rule._entries
+    # entries (H, p ~ 1) in a row that graph H draws
+    idle = (h >= 0) & (h < rule.num_graphs) & (np.abs(p - 1.0) <= PROB_TOL)
+    idle[idle] = rule.row_of[h[idle]] == r[idle]
+    return set(h[idle].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +286,20 @@ def stirring_rule(k: int, variant: str = "firm") -> Rule:
     if variant not in ("firm", "loose"):
         raise ValueError(f"stirring variant must be 'firm' or 'loose', got {variant!r}")
     npairs = comb(k, 2)
-    edges = [h.bit_count() for h in range(1 << npairs)]
-    # every row depends only on the drawn edge count ell: one row per ell
-    by_ell = []
-    for ell in range(npairs + 1):
-        if variant == "firm":
-            probs = [1.0 / comb(npairs, ell) if e == ell else 0.0 for e in range(npairs + 1)]
-        else:
+    ngraphs = 1 << npairs
+    by_count = [[] for _ in range(npairs + 1)]
+    for h in range(ngraphs):
+        by_count[h.bit_count()].append(h)
+    # every row depends only on the drawn edge count ell
+    if variant == "firm":
+        by_ell = [[(h, 1.0 / len(peers)) for h in peers] for peers in by_count]
+    else:
+        by_ell = []
+        for ell in range(npairs + 1):
             p = ell / npairs
             probs = [p**e * (1 - p) ** (npairs - e) for e in range(npairs + 1)]
-        by_ell.append([(h, probs[e]) for h, e in enumerate(edges) if probs[e] > 0.0])
-    return Rule(k, [by_ell[e] for e in edges])
+            by_ell.append([(h, probs[h.bit_count()]) for h in range(ngraphs) if probs[h.bit_count()] > 0.0])
+    return Rule(k, [by_ell[f.bit_count()] for f in range(ngraphs)])
 
 
 def extremist_rule(k: int) -> Rule:
@@ -352,10 +349,7 @@ def _check_builder_order(k: int) -> None:
 
 
 def save_rule(rule: Rule, path) -> None:
-    r, h, p = rule._entries
-    lone = np.diff(rule._table[2])[r] == 2  # an entry and its sentinel
-    implicit = set(h[_own_entries(rule) & lone & (p == 1.0)].tolist())  # the idle rows [(F, 1.0)]
-    payload = {"k": rule.k, "rows": [[f, row] for f, row in enumerate(rule.rows) if f not in implicit]}
+    payload = {"k": rule.k, "rows": [[f, row] for f, row in enumerate(rule.rows) if row != [(f, 1.0)]]}  # idle rows are implicit
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -371,7 +365,7 @@ def load_rule(path) -> Rule:
     check_order(k)
     try:
         row_map = {int(f): [(int(h), float(p)) for h, p in entries] for f, entries in payload["rows"]}
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError([f"rule file {path} needs 'rows' listing [F, [[H, p], ...]] entries"]) from None
     try:
         rule = Rule.from_row_map(k, row_map)
@@ -387,40 +381,53 @@ def load_rule(path) -> Rule:
 # Named registry used by the CLI and the property suites
 
 
-_FAMILIES = {  # the parameterized specs <family>:<k>
-    "complementing": complementing_rule,
-    "component-completion": component_completion_rule,
-    "stirring-firm": lambda k: stirring_rule(k, "firm"),
-    "stirring-loose": lambda k: stirring_rule(k, "loose"),
-    "extremist": extremist_rule,
-    "ignorant-uniform": lambda k: ignorant_rule(k, np.full(1 << comb(k, 2), 1.0 / (1 << comb(k, 2)))),
-}
+def _uniform_dist(k: int) -> np.ndarray:
+    n = 1 << comb(k, 2)
+    return np.full(n, 1.0 / n)
+
 
 BUILTIN_RULES = {
     "er": erdos_renyi_rule,
     "triangle-removal": triangle_removal_rule,
     "edge-removal": lambda: removal_rule(LabeledGraph.from_edges(3, [(0, 1)])),
-    **{
-        f"{family}:{k}": partial(_FAMILIES[family], k)
-        for family, k in [("complementing", 3), ("component-completion", 3), ("stirring-firm", 3),
-                          ("stirring-loose", 3), ("extremist", 3), ("extremist", 4), ("extremist", 5),
-                          ("ignorant-uniform", 3)]
-    },
+    "complementing:3": lambda: complementing_rule(3),
+    "component-completion:3": lambda: component_completion_rule(3),
+    "stirring-firm:3": lambda: stirring_rule(3, "firm"),
+    "stirring-loose:3": lambda: stirring_rule(3, "loose"),
+    "extremist:3": lambda: extremist_rule(3),
+    "extremist:4": lambda: extremist_rule(4),
+    "extremist:5": lambda: extremist_rule(5),
+    "ignorant-uniform:3": lambda: ignorant_rule(3, _uniform_dist(3)),
 }
 
 
 def make_rule(spec: str) -> Rule:
-    """Build a rule from a CLI spec string: a registry name,
-    ``removal:<k>:<F index>`` or ``<family>:<k>`` for a family in `_FAMILIES`.
+    """Build a rule from a CLI spec string.
+
+    Accepts registry names plus parameterized forms:
+    ``removal:<k>:<F index>``, ``complementing:<k>``,
+    ``component-completion:<k>``, ``stirring-firm:<k>``,
+    ``stirring-loose:<k>``, ``extremist:<k>``, ``ignorant-uniform:<k>``.
     """
     if spec in BUILTIN_RULES:
         return BUILTIN_RULES[spec]()
-    head, *args = spec.split(":")
+    parts = spec.split(":")
+    head = parts[0]
     try:
-        if head == "removal" and len(args) == 2:
-            return removal_rule(LabeledGraph.from_index(int(args[0]), int(args[1])))
-        if head in _FAMILIES and len(args) == 1:
-            return _FAMILIES[head](int(args[0]))
+        if head == "removal" and len(parts) == 3:
+            return removal_rule(LabeledGraph.from_index(int(parts[1]), int(parts[2])))
+        if head == "complementing" and len(parts) == 2:
+            return complementing_rule(int(parts[1]))
+        if head == "component-completion" and len(parts) == 2:
+            return component_completion_rule(int(parts[1]))
+        if head == "stirring-firm" and len(parts) == 2:
+            return stirring_rule(int(parts[1]), "firm")
+        if head == "stirring-loose" and len(parts) == 2:
+            return stirring_rule(int(parts[1]), "loose")
+        if head == "extremist" and len(parts) == 2:
+            return extremist_rule(int(parts[1]))
+        if head == "ignorant-uniform" and len(parts) == 2:
+            return ignorant_rule(int(parts[1]), _uniform_dist(int(parts[1])))
     except ValueError as exc:
         raise ValueError(f"bad rule spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown rule spec {spec!r}")

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import GuardExceededError, IntegrationFaultError
 from .graphs import pair_list, pair_position
-from .rules import Rule, deltas, pair_coefficients
+from .rules import Rule, _edge_bits, deltas, pair_coefficients
 from .stepfun import StepGraphon, StepKernel, check_masses
 from .streams import substream
 
@@ -127,13 +127,13 @@ def _pattern_table(rule: Rule) -> _PatternTable:
 
     support = np.flatnonzero(np.any(table != 0.0, axis=1))
     if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
-        index = (_factor_index(0, _bit_table(npairs)[support]),)
+        index = (_factor_index(0, _edge_bits(support, npairs)),)
         out = _PatternTable(table[support], index, max(len(support) * npairs, 1))
     else:
         h = npairs // 2
         low, high = 1 << h, 1 << npairs - h
         coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
-        index = (_factor_index(0, _bit_table(h)), _factor_index(h, _bit_table(npairs - h)))
+        index = (_factor_index(0, _edge_bits(np.arange(low), h)), _factor_index(h, _edge_bits(np.arange(high), npairs - h)))
         out = _PatternTable(coupled, index, low + high * (1 + npairs))
     for arr in (out.table, *out.bits):
         arr.flags.writeable = False
@@ -151,7 +151,7 @@ def _relabelings(k: int) -> list:
     for i, j in pairs:  # i ascending for each j
         swap = {i: j, j: i}
         target = np.array([pair_position(k, swap.get(a, a), swap.get(b, b)) for a, b in pairs])
-        levels[j - 1].append((_bit_table(len(pairs)) @ (1 << target), target))
+        levels[j - 1].append((_edge_bits(np.arange(1 << len(pairs)), len(pairs)) @ (1 << target), target))
     return levels
 
 
@@ -280,11 +280,6 @@ def _pattern_probs(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _factor_index(first: int, bits: np.ndarray) -> np.ndarray:
     """(n, patterns) factor rows of pair positions first, ..., first + n - 1 by edge indicators `bits`."""
     return 2 * np.arange(first, first + bits.shape[1])[:, None] + bits.T
-
-
-def _bit_table(n: int) -> np.ndarray:
-    """(2**n, n) edge indicators: row g holds the bits of g."""
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 def velocity(rule: Rule, w: StepGraphon) -> StepKernel:

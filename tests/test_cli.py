@@ -55,6 +55,18 @@ def test_bad_rule_file_names_the_row(tmp_path, capsys):
     assert "row 1" in err
 
 
+def test_rule_file_with_an_h_index_beyond_int64_names_the_row(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k": 2, "rows": [[1, [[100000000000000000000000, 1.0]]]]}')
+    code = run_cli(
+        ["trajectory", "--rule-file", str(bad), "--init", "const:0.5",
+         "--t-end", "0.1", "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "rule row 1 is not stochastic" in err and "H index 100000000000000000000000 out of range" in err
+
+
 def test_rule_file_flow(tmp_path):
     rule_path = tmp_path / "comp.json"
     save_rule(complementing_rule(3), rule_path)

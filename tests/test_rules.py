@@ -165,7 +165,6 @@ def test_ignorant_rule():
     uniform = np.full(8, 1 / 8)
     rule = ignorant_rule(3, uniform)
     validate(rule)
-    assert abs(uniform @ [h.bit_count() for h in range(8)] / 3 - 0.5) < 1e-15  # mean edge density
     with pytest.raises(NonStochasticRowError):
         ignorant_rule(3, np.full(8, 0.1))
 
@@ -326,6 +325,28 @@ def test_row_keys_outside_the_graph_range_are_rejected(tmp_path):
     path = tmp_path / "rule.json"
     path.write_text('{"k": 2, "rows": [[99, [[0, 1.0]]], [-1, [[1, 1.0]]]]}')
     with pytest.raises(ConfigError, match="F index 99 outside") as err:
+        load_rule(path)
+    assert str(path) in str(err.value)
+
+
+def test_h_indices_beyond_int64_are_out_of_range(tmp_path):
+    huge = 10**23
+    for h in (huge, -huge):
+        # the first graph whose row holds one is named, not a later graph
+        rows = [[(f, 1.0)] for f in range(8)]
+        rows[1] = rows[3] = [(1, 0.5), (h, 0.5)]
+        rows[2] = [(h, 1.0)]
+        with pytest.raises(NonStochasticRowError, match=f"^rule row 1 is not stochastic .*: H index {h} out of range$") as err:
+            Rule(3, rows)
+        assert err.value.row == 1
+    path = tmp_path / "rule.json"
+    path.write_text(f'{{"k": 2, "rows": [[1, [[0, 0.5], [{huge}, 0.5]]]]}}')
+    with pytest.raises(NonStochasticRowError, match=f": H index {huge} out of range$") as err:
+        load_rule(path)
+    assert err.value.row == 1
+    # an H index no integer holds names the file
+    path.write_text('{"k": 2, "rows": [[1, [[Infinity, 1.0]]]]}')
+    with pytest.raises(ConfigError, match="needs 'rows'") as err:
         load_rule(path)
     assert str(path) in str(err.value)
 
