@@ -166,7 +166,9 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _build_rule(cfg: ExperimentConfig) -> Rule:
-    rule = load_rule(cfg.rule_file) if cfg.rule_file else make_rule(cfg.rule)
+    if cfg.rule_file:
+        return load_rule(cfg.rule_file)  # validated as it loads
+    rule = make_rule(cfg.rule)
     validate(rule)
     return rule
 

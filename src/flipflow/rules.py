@@ -364,11 +364,12 @@ def load_rule(path) -> Rule:
         raise ConfigError([f"rule file {path} needs an integer 'k'"]) from None
     check_order(k)
     try:
-        row_map = {int(f): [(int(h), float(p)) for h, p in entries] for f, entries in payload["rows"]}
+        rows = {int(f): tuple((int(h), float(p)) for h, p in entries) for f, entries in payload["rows"]}
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError([f"rule file {path} needs 'rows' listing [F, [[H, p], ...]] entries"]) from None
+    distinct = {row: list(row) for row in rows.values()}  # equal rows as one object: one row of the rule
     try:
-        rule = Rule.from_row_map(k, row_map)
+        rule = Rule.from_row_map(k, {f: distinct[row] for f, row in rows.items()})
     except NonStochasticRowError as exc:
         if exc.row in range(1 << comb(k, 2)):
             raise

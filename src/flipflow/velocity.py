@@ -36,10 +36,13 @@ is the probability of F's low h = P // 2 pair bits times that of its
 high bits, so a matmul with the low half-distribution contracts Cbar to
 (2**(P-h), P) partial sums per multiset and a batched matmul with the
 high half ends it; each P(F) is the product of the factors its bits
-pick.  The guard prices the k + 5 P elements a plan holds per multiset
-and one chunk's pattern sum: per multiset the support size times P, or
-the two halves and the partial sums, 2**h + 2**(P-h) * (P + 1) elements
-(384 at k = 5, not the 2**P = 1024 of the full distribution).
+pick.  Below _SEQ_ELEMS factors (flows, where each numpy call shows) one
+take and one reduce over the pairs form it; above, it builds in place
+pair by pair, with no (pairs, patterns, rows) tensor, in the same order.
+The guard prices the k + 5 P elements a plan holds per multiset and one
+chunk's pattern sum: per multiset the support size times P, or the two
+halves and the partial sums, 2**h + 2**(P-h) * (P + 1) elements (384 at
+k = 5, not the 2**P = 1024 of the full distribution).
 
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
@@ -64,6 +67,7 @@ from .streams import substream
 VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
 MULTISET_CACHE_BYTES = VELOCITY_GUARD * 8 // 32  # largest cached multiset arrays: 32 fit in 1 GB
 _CHUNK_ELEMS = 1 << 23  # cap on rows * row_elems per vectorized chunk
+_SEQ_ELEMS = 1 << 14  # gathered factors from which P(F) builds in place; it breaks even between 2**14 and 2**15
 RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
 
 
@@ -224,7 +228,9 @@ class VelocityPlan:
         self.m = m
         self._upper = enum.upper
         self._ncells = m * (m + 1) // 2
-        weight = np.prod(masses[enum.parts], axis=1)
+        weight = masses[enum.parts[:, 0]]
+        for c in range(1, k):
+            weight *= masses[enum.parts[:, c]]
         weights = enum.factor * weight[:, None] / np.outer(masses, masses)[enum.upper][enum.cells]
         self._table = patterns.table
         self._bits = patterns.bits
@@ -273,8 +279,14 @@ class VelocityPlan:
 
 
 def _pattern_probs(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(patterns, rows) P(pattern | multiset): the product over pairs of the factor rows `index` picks."""
-    return np.multiply.reduce(factors.take(index, axis=0), axis=0)
+    """(patterns, rows) P(pattern | multiset): the product over pairs of the factor rows `index` picks, in one
+    take and reduce below _SEQ_ELEMS factors (fewer calls), else in place pair by pair (less memory traffic)."""
+    if index.size * factors.shape[1] < _SEQ_ELEMS:
+        return np.multiply.reduce(factors.take(index, axis=0), axis=0)
+    out = factors.take(index[0], axis=0)
+    for row in index[1:]:
+        out *= factors.take(row, axis=0)
+    return out
 
 
 def _factor_index(first: int, bits: np.ndarray) -> np.ndarray:

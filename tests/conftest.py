@@ -12,11 +12,13 @@ stepper replays the simulator's block draws one flip at a time, and the
 drift oracle the drift harness's draws one sample at a time, both with
 `bisect_right` on the replacement table.  The fixed-point scan evaluates
 the velocity polynomial one grid point at a time and bisects one bracket
-at a time.
+at a time.  `raises_exactly` expects one exception class itself, not a
+subclass, with one message.
 """
 
 import itertools
 from bisect import bisect_right
+from contextlib import contextmanager
 from math import comb
 
 import numpy as np
@@ -345,3 +347,12 @@ def graph_components(g: LabeledGraph) -> int:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def raises_exactly(cls, message: str):
+    """Expect an exception of class `cls` itself whose text is `message`."""
+    with pytest.raises(cls) as err:
+        yield
+    assert type(err.value) is cls, type(err.value)
+    assert str(err.value) == message, str(err.value)

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
-from flipflow import save_rule, complementing_rule, two_block, velocity, extremist_rule
+from flipflow import ConfigError, save_rule, complementing_rule, two_block, velocity, extremist_rule
 from flipflow import cli
 from flipflow.cli import ExperimentConfig, main, read_csv
+
+from conftest import raises_exactly
 
 
 def run_cli(args):
@@ -273,6 +276,8 @@ def test_config_values_are_checked_against_declared_types(tmp_path, capsys):
          "--init 'two-block:a,b' must have the form two-block:mass1,mass2,x1,x2,y"),
         (["trajectory", "--rule", "er", "--init", "const:abc", "--t-end", "1"],
          "--init 'const:abc' must have the form const:density"),
+        (["trajectory", "--rule", "er", "--init", "ring:0.5", "--t-end", "1"],
+         "unknown init spec 'ring:0.5'"),
     ],
 )
 def test_spec_strings_are_named_in_errors(tmp_path, capsys, args, message):
@@ -363,3 +368,47 @@ def test_the_cached_parser_is_unchanged_by_a_failed_invocation(tmp_path):
     assert run_cli(bad) == 1
     assert run_cli(good) == 0
     assert out.read_bytes() == good_alone[1]
+
+
+def test_a_rule_is_validated_once(tmp_path, monkeypatch):
+    rules_module = sys.modules["flipflow.rules"]
+    calls = []
+
+    def counting(rule, validate=rules_module.validate):
+        calls.append(rule)
+        return validate(rule)
+
+    monkeypatch.setattr(rules_module, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    rule_path = tmp_path / "comp.json"
+    save_rule(complementing_rule(3), rule_path)
+    for given in (["--rule-file", str(rule_path)], ["--rule", "complementing:3"]):
+        calls.clear()
+        assert run_cli(["fixed-points", *given]) == 0
+        assert len(calls) == 1, given
+
+
+def test_an_unreadable_config_file_is_named(tmp_path, capsys):
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text("{")
+    for path, reason in (
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+        (broken, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ):
+        message = f"cannot read config file {path}: {reason}"
+        with raises_exactly(ConfigError, message):
+            cli._read_config(path, [])
+        assert run_cli(["fixed-points", "--rule", "er", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
+
+def test_an_unknown_init_spec_is_a_config_error():
+    with raises_exactly(ConfigError, "unknown init spec 'ring:0.5'"):
+        cli._build_init(ExperimentConfig(mode="trajectory", init="ring:0.5"))
+
+
+def test_a_ragged_csv_is_named(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,cell_1_1\n0.0,0.5,0.25\n")
+    with raises_exactly(ValueError, f"ragged CSV {path}: 3 columns vs 2 headers"):
+        read_csv(path)

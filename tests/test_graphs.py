@@ -16,7 +16,7 @@ from flipflow import (
 )
 from flipflow.graphs import pair_list, pair_position
 
-from conftest import graph_components
+from conftest import graph_components, raises_exactly
 
 
 def test_enumeration_sizes():
@@ -117,3 +117,14 @@ def test_tuple_order_matters():
     assert b.edge_pairs() == [(0, 1), (1, 2)]
     c = induced_pattern(g, (1, 0, 2))
     assert c.edge_pairs() == [(0, 1), (0, 2)]
+
+
+def test_pair_position_needs_distinct_vertices():
+    with raises_exactly(InvalidTupleError, "pair requires distinct vertices, got (2, 2)"):
+        pair_position(4, 2, 2)
+
+
+@pytest.mark.parametrize("edges", [8, -1])
+def test_edge_bitset_outside_the_order_is_rejected(edges):
+    with raises_exactly(ValueError, f"edge bitset {edges} out of range for order 3"):
+        LabeledGraph(3, edges)

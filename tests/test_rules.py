@@ -310,6 +310,20 @@ def test_rule_file_round_trip(tmp_path):
             ]
 
 
+def test_a_loaded_rule_shares_its_equal_rows(tmp_path):
+    # stirring-loose:5 draws by edge count: 11 distinct rows for 1,024 graphs
+    rule = make_rule("stirring-loose:5")
+    path = tmp_path / "rule.json"
+    save_rule(rule, path)
+    loaded = load_rule(path)
+    assert len(np.unique(loaded.row_of)) == len(np.unique(rule.row_of)) == 11
+    assert sum(a.nbytes for a in loaded.replacement_table()) <= 1e6
+    assert loaded.rows == rule.rows
+    grid = np.linspace(0.0, np.nextafter(1.0, 0.0), 33)
+    drawn, u = np.repeat(np.arange(rule.num_graphs), len(grid)), np.tile(grid, rule.num_graphs)
+    assert np.array_equal(loaded.sample_replacements(drawn, u), rule.sample_replacements(drawn, u))
+
+
 def test_rule_file_defaults_missing_rows_to_idle(tmp_path):
     path = tmp_path / "rule.json"
     path.write_text('{"k": 3, "rows": [[7, [[0, 1.0]]]]}')

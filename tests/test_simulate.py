@@ -32,7 +32,7 @@ from flipflow.rules import BUILTIN_RULES
 from flipflow.simulate import _BLOCK, _distinct_tuples
 from flipflow.stepfun import block_counts, block_graphon
 
-from conftest import brute_block_average, random_rule, sequential_drift, sequential_steps
+from conftest import brute_block_average, random_rule, raises_exactly, sequential_drift, sequential_steps
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -330,3 +330,9 @@ def test_tuple_draws_are_uniform_over_ordered_tuples():
     assert seen.tolist() == [list(t) for t in permutations(range(5), 3)]
     chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
     assert chi2 < 98.32  # the 0.999 quantile of chi-square with 59 degrees of freedom
+
+
+def test_drift_check_needs_both_parts_non_empty():
+    g = SimGraph(4, part_of=[0, 0, 2, 2])  # part 1 holds no vertex
+    with raises_exactly(ValueError, "parts (0, 1) must both be non-empty"):
+        one_step_expectation_check(ER, g, (0, 1), 10)

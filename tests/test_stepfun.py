@@ -39,6 +39,7 @@ from conftest import (
     brute_block_counts,
     brute_cut_norm,
     brute_density,
+    raises_exactly,
     random_graphon,
     random_graphon_pair,
     random_kernel,
@@ -396,3 +397,20 @@ def test_sim_graph_adjacency():
     for bad in ([[0, 1], [0, 0]], [[1, 0], [0, 0]], [[0, 2], [2, 0]], [[0]]):
         with pytest.raises(ValueError):
             SimGraph(2, bad)
+
+
+@pytest.mark.parametrize(
+    "masses, values, message",
+    [
+        ([], np.zeros((0, 0)), "masses must be a non-empty 1-d sequence"),
+        ([[0.5, 0.5]], np.zeros((2, 2)), "masses must be a non-empty 1-d sequence"),
+        ([1.0, 0.0], np.zeros((2, 2)), "all part masses must be positive"),
+        ([1.5, -0.5], np.zeros((2, 2)), "all part masses must be positive"),
+        ([0.5, 0.5], np.zeros((3, 3)), "values must be 2x2, got (3, 3)"),
+        ([0.5, 0.5], [[0.0, 0.2], [0.3, 0.0]], "value matrix must be symmetric"),
+    ],
+)
+def test_malformed_step_functions_are_named(masses, values, message):
+    for cls in (StepGraphon, StepKernel):
+        with raises_exactly(ValueError, message):
+            cls(masses, values)

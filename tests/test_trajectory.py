@@ -40,7 +40,7 @@ from flipflow.trajectory import (
     CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _genome_check, _start,
 )
 
-from conftest import random_graphon, random_rule, scalar_fixed_points
+from conftest import raises_exactly, random_graphon, random_rule, scalar_fixed_points
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -447,3 +447,14 @@ def test_planar_demo_reads_one_span(spans):
     for t0, t1 in zip(trace.times[:-1].tolist(), trace.times[1:].tolist()):
         restarted.append(integrate_span(planar_field, restarted[-1], t0, t1, DEFAULT_OPTS).y)
     assert np.abs(trace.points - np.array(restarted)).max() <= 1e-9
+
+
+def test_an_unknown_integrator_method_is_named():
+    with raises_exactly(ValueError, "unknown method 'euler'"):
+        IntegratorOptions(method="euler")
+
+
+@pytest.mark.parametrize("grid_n", [1, 0])
+def test_constant_fixed_points_need_two_grid_points(grid_n):
+    with raises_exactly(ValueError, "grid_n must be at least 2"):
+        constant_fixed_points(ER, grid_n=grid_n)
