@@ -21,14 +21,10 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
-    complement,
     component_closure,
-    edge_count,
     enumerate_graphs,
-    induced_pattern,
     pair_list,
     pair_position,
-    permute,
 )
 from .integrators import IntegratorOptions
 from .rules import (
@@ -72,10 +68,8 @@ from .stepfun import (
     l1_dist,
     linf_dist,
     load_graphon,
-    load_sim_graph,
     sample_graph,
     save_graphon,
-    save_sim_graph,
     stepped,
     two_block,
 )

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from math import floor, isfinite
 from typing import get_args, get_type_hints
 
@@ -81,13 +81,6 @@ class ExperimentConfig:
     step: float | None = _option("fixed step size for rk4_fixed")
     grid_n: int = _option("root scan grid (fixed-points)", 1001)
     tol: float = _option("root tolerance (fixed-points)", 1e-10)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
 
     def integrator_options(self) -> IntegratorOptions:
         return IntegratorOptions(

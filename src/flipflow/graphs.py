@@ -59,10 +59,6 @@ class LabeledGraph:
                 f"edge bitset {self.edges} out of range for order {self.k}"
             )
 
-    @property
-    def index(self) -> int:
-        return self.edges
-
     @classmethod
     def from_index(cls, k: int, index: int) -> "LabeledGraph":
         return cls(k, index)
@@ -88,15 +84,6 @@ def enumerate_graphs(k: int) -> list[LabeledGraph]:
     return [LabeledGraph(k, i) for i in range(1 << comb(k, 2))]
 
 
-def edge_count(g: LabeledGraph) -> int:
-    return g.edges.bit_count()
-
-
-def complement(g: LabeledGraph) -> LabeledGraph:
-    full = (1 << comb(g.k, 2)) - 1
-    return LabeledGraph(g.k, g.edges ^ full)
-
-
 def component_closure(g: LabeledGraph) -> LabeledGraph:
     """Disjoint union of cliques with the same component structure as g."""
     k = g.k
@@ -116,38 +103,5 @@ def component_closure(g: LabeledGraph) -> LabeledGraph:
     pairs = pair_list(k)
     for p, (a, b) in enumerate(pairs):
         if find(a) == find(b):
-            bits |= 1 << p
-    return LabeledGraph(k, bits)
-
-
-def permute(g: LabeledGraph, perm) -> LabeledGraph:
-    """Relabel vertices: edge ab maps to perm[a] perm[b]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.k)):
-        raise InvalidTupleError(f"not a permutation of range({g.k}): {perm}")
-    bits = 0
-    for a, b in g.edge_pairs():
-        bits |= 1 << pair_position(g.k, perm[a], perm[b])
-    return LabeledGraph(g.k, bits)
-
-
-def induced_pattern(sim_graph, vertices) -> LabeledGraph:
-    """Pattern drawn by an ordered tuple of distinct vertices of a SimGraph.
-
-    Bit p(a, b) of the result is set iff vertices[a] vertices[b] is an edge;
-    the order of the tuple matters.
-    """
-    tup = tuple(vertices)
-    k = len(tup)
-    check_order(k)
-    n = sim_graph.n
-    if len(set(tup)) != k:
-        raise InvalidTupleError(f"tuple has repeated vertices: {tup}")
-    if any(not 0 <= v < n for v in tup):
-        raise InvalidTupleError(f"tuple entry out of range [0, {n}): {tup}")
-    adj = sim_graph.adj
-    bits = 0
-    for p, (a, b) in enumerate(pair_list(k)):
-        if adj[tup[a], tup[b]]:
             bits |= 1 << p
     return LabeledGraph(k, bits)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFaultError, NonFiniteValueError
+from .stepfun import VALUE_BAND
 
 # DOP853, one row per line.  A[s, :s] weighs the stages of stage s; row 12 is the 8th-order solution (its RHS
 # is the FSAL stage), rows 13-15 the extension's stages.  E holds the order-5 and -3 error estimators.
@@ -64,18 +65,12 @@ _SAFETY = 0.9
 
 @dataclass
 class IntegratorOptions:
-    """Integration controls.
-
-    ``band_tol`` is the allowed numeric excursion of trajectory values
-    outside [0, 1]; the integrator asserts the band and never clamps, so
-    a violation surfaces as an integration fault instead of being masked.
-    """
+    """Integration controls."""
 
     method: str = "dop853"
     rtol: float = 1e-10
     atol: float = 1e-12
     step: float | None = None  # fixed step for rk4_fixed
-    band_tol: float = 1e-9
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -84,8 +79,6 @@ class IntegratorOptions:
             raise NonFiniteValueError(f"rtol={self.rtol}, atol={self.atol}, step={self.step}: each must be finite")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 <= self.band_tol < 1e-6:
-            raise ValueError("band_tol must lie in [0, 1e-6)")
         if self.method == "rk4_fixed" and (self.step is None or self.step <= 0):
             raise ValueError("rk4_fixed requires a positive step")
 
@@ -128,10 +121,12 @@ class _Leg:
 def integrate_span(f, y0, t0, t1, opts: IntegratorOptions, observer=None, band=False) -> _Leg:
     """Advance y' = f(y) from (t0, y0) to t1 (either direction).
 
-    With `band`, each accepted state must lie within `opts.band_tol` of
-    [0, 1]; the stats keep the largest excursion.  Then `observer(step)`
-    sees the accepted `Step` and may return a truthy value to stop
-    early; the returned leg then ends at that step's end.
+    With `band`, each accepted state must lie within `VALUE_BAND` of
+    [0, 1]; the band is asserted, never clamped, so a violation surfaces
+    as an integration fault instead of being masked, and the stats keep
+    the largest excursion.  Then `observer(step)` sees the accepted
+    `Step` and may return a truthy value to stop early; the returned leg
+    then ends at that step's end.
     """
     if t1 == t0:
         return _Leg(t0, np.array(y0, dtype=float))
@@ -140,13 +135,13 @@ def integrate_span(f, y0, t0, t1, opts: IntegratorOptions, observer=None, band=F
     return _dop853(f, y0, t0, t1, opts, observer, band)
 
 
-def _accept(step: Step, stats: StepStats, opts, observer, band) -> bool:
+def _accept(step: Step, stats: StepStats, observer, band) -> bool:
     """Count and check one accepted step; True if the observer stops the span."""
     stats.accepted += 1
     if band:
         excursion = max(float(-(step.y1.min())), float(step.y1.max() - 1.0), 0.0)
         stats.max_excursion = max(stats.max_excursion, excursion)
-        if excursion > opts.band_tol:
+        if excursion > VALUE_BAND:
             raise IntegrationFaultError(f"trajectory left the [0,1] band by {excursion:.3e} at t={step.t1:.6g}")
     return bool(observer and observer(step))
 
@@ -169,7 +164,7 @@ def _rk4_fixed(f, y0, t0, t1, opts, observer, band) -> _Leg:
         t_new = t1 if i == nsteps - 1 else t + h
         # the continuous extension of order 3; y0=y binds this step's start
         between = lambda theta, y0=y: y0 + h * ((_RK4_DENSE @ np.cumprod(np.full(3, theta))) @ K)  # noqa: E731
-        stop = _accept(Step(t, y, t_new, y_new, h, between), stats, opts, observer, band)
+        stop = _accept(Step(t, y, t_new, y_new, h, between), stats, observer, band)
         t, y = t_new, y_new
         if stop:
             break
@@ -207,7 +202,7 @@ def _dop853(f, y0, t0, t1, opts, observer, band) -> _Leg:
             stats.rhs_evals += 1
             t_new = t1 if last else t + h
             extension = _dop853_extension(f, y, y_new, h, K, stats)
-            stop = _accept(Step(t, y, t_new, y_new, h, extension), stats, opts, observer, band)
+            stop = _accept(Step(t, y, t_new, y_new, h, extension), stats, observer, band)
             t, y = t_new, y_new
             if stop:
                 break

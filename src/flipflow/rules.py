@@ -17,6 +17,7 @@ sampler bisects one flat table, `Rule.replacement_table()`.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
 from math import comb
 
@@ -387,48 +388,49 @@ def _uniform_dist(k: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-BUILTIN_RULES = {
+# Each family a spec names: its head, its builder and the number of
+# integer arguments that follow the head
+_FAMILIES = {
+    "removal": (lambda k, f: removal_rule(LabeledGraph.from_index(k, f)), 2),
+    "complementing": (complementing_rule, 1),
+    "component-completion": (component_completion_rule, 1),
+    "stirring-firm": (lambda k: stirring_rule(k, "firm"), 1),
+    "stirring-loose": (lambda k: stirring_rule(k, "loose"), 1),
+    "extremist": (extremist_rule, 1),
+    "ignorant-uniform": (lambda k: ignorant_rule(k, _uniform_dist(k)), 1),
+}
+_NAMED = {
     "er": erdos_renyi_rule,
     "triangle-removal": triangle_removal_rule,
     "edge-removal": lambda: removal_rule(LabeledGraph.from_edges(3, [(0, 1)])),
-    "complementing:3": lambda: complementing_rule(3),
-    "component-completion:3": lambda: component_completion_rule(3),
-    "stirring-firm:3": lambda: stirring_rule(3, "firm"),
-    "stirring-loose:3": lambda: stirring_rule(3, "loose"),
-    "extremist:3": lambda: extremist_rule(3),
-    "extremist:4": lambda: extremist_rule(4),
-    "extremist:5": lambda: extremist_rule(5),
-    "ignorant-uniform:3": lambda: ignorant_rule(3, _uniform_dist(3)),
 }
 
 
 def make_rule(spec: str) -> Rule:
     """Build a rule from a CLI spec string.
 
-    Accepts registry names plus parameterized forms:
-    ``removal:<k>:<F index>``, ``complementing:<k>``,
-    ``component-completion:<k>``, ``stirring-firm:<k>``,
-    ``stirring-loose:<k>``, ``extremist:<k>``, ``ignorant-uniform:<k>``.
+    Accepts the names ``er``, ``triangle-removal`` and ``edge-removal``
+    plus parameterized forms: ``removal:<k>:<F index>``,
+    ``complementing:<k>``, ``component-completion:<k>``,
+    ``stirring-firm:<k>``, ``stirring-loose:<k>``, ``extremist:<k>``,
+    ``ignorant-uniform:<k>``.
     """
-    if spec in BUILTIN_RULES:
-        return BUILTIN_RULES[spec]()
-    parts = spec.split(":")
-    head = parts[0]
+    if spec in _NAMED:
+        return _NAMED[spec]()
+    head, *args = spec.split(":")
+    builder, arity = _FAMILIES.get(head, (None, None))
+    if len(args) != arity:
+        raise ValueError(f"unknown rule spec {spec!r}")
     try:
-        if head == "removal" and len(parts) == 3:
-            return removal_rule(LabeledGraph.from_index(int(parts[1]), int(parts[2])))
-        if head == "complementing" and len(parts) == 2:
-            return complementing_rule(int(parts[1]))
-        if head == "component-completion" and len(parts) == 2:
-            return component_completion_rule(int(parts[1]))
-        if head == "stirring-firm" and len(parts) == 2:
-            return stirring_rule(int(parts[1]), "firm")
-        if head == "stirring-loose" and len(parts) == 2:
-            return stirring_rule(int(parts[1]), "loose")
-        if head == "extremist" and len(parts) == 2:
-            return extremist_rule(int(parts[1]))
-        if head == "ignorant-uniform" and len(parts) == 2:
-            return ignorant_rule(int(parts[1]), _uniform_dist(int(parts[1])))
+        return builder(*map(int, args))
     except ValueError as exc:
         raise ValueError(f"bad rule spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown rule spec {spec!r}")
+
+
+BUILTIN_RULES = {
+    **_NAMED,
+    **{spec: partial(make_rule, spec) for spec in (
+        "complementing:3", "component-completion:3", "stirring-firm:3", "stirring-loose:3",
+        "extremist:3", "extremist:4", "extremist:5", "ignorant-uniform:3",
+    )},
+}

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonFiniteValueError
 from .graphs import pair_list
 from .integrators import IntegratorOptions
-from .rules import Rule
+from .rules import Rule, _edge_bits
 from .stepfun import (
     SimGraph,
     StepGraphon,
@@ -91,7 +91,6 @@ class ProcessState:
         self.part_of = list(graph.part_of)
         self.num_parts = graph.num_parts
         self.step_count = 0
-        self.last_tuple: tuple = ()
 
         m = self.num_parts
         self.part_sizes = np.bincount(self.part_of, minlength=m)
@@ -104,7 +103,7 @@ class ProcessState:
         self._ends = np.concatenate((a, b)), np.concatenate((b, a))
         self._weights = 1 << np.arange(len(a))
         # row h: the pair bits of graph h, twice
-        self._bits = np.tile(np.arange(rule.num_graphs)[:, None] & self._weights != 0, 2).astype(np.uint8)
+        self._bits = np.tile(_edge_bits(np.arange(rule.num_graphs), len(a)), 2).astype(np.uint8)
         self._tuple_rng = substream(seed, "tuples")
         self._replace_rng = substream(seed, "replace")
         self._tuples = np.empty((0, rule.k), dtype=np.int64)
@@ -123,7 +122,6 @@ class ProcessState:
                 self._ptr = 0
             end = min(self._ptr + count - done, _BLOCK, self._ptr + max(1, _SPAN // len(self._weights)))
             self._apply(self._tuples[self._ptr : end], self._uniforms[self._ptr : end])
-            self.last_tuple = tuple(self._tuples[end - 1].tolist())
             done += end - self._ptr
             self._ptr = end
         self.step_count += done
@@ -184,9 +182,6 @@ class ProcessState:
 
     def edge_density(self) -> float:
         return self.edge_total / comb(self.n, 2)
-
-    def snapshot(self) -> SimGraph:
-        return SimGraph(self.n, self.adj, self.part_of)
 
     def stepped(self, target_masses=None) -> StepGraphon:
         """Block-averaged graphon from the incremental counters."""
@@ -252,14 +247,13 @@ def one_step_expectation_check(
 
     tuples = _distinct_tuples(rng, n, rule.k, samples)
     a, b = np.array(pair_list(rule.k)).T
-    pair_bit = np.arange(len(a))
-    drawn = graph.adj[tuples[:, a], tuples[:, b]] @ (1 << pair_bit)
+    drawn = graph.adj[tuples[:, a], tuples[:, b]] @ (1 << np.arange(len(a)))
     replacement = rule.sample_replacements(drawn, rng.random(samples))
 
     scale = 2.0 / (sizes[i] * sizes[i]) if i == j else 1.0 / (sizes[i] * sizes[j])
     pa, pb = part_of[tuples[:, a]], part_of[tuples[:, b]]
     hit = ((pa == i) & (pb == j)) | ((pa == j) & (pb == i))
-    change = (replacement[:, None] >> pair_bit & 1) - (drawn[:, None] >> pair_bit & 1)
+    change = _edge_bits(replacement, len(a)) - _edge_bits(drawn, len(a))
     # summed column by column, so the float sum runs in pair order
     delta = sum((hit * change * scale).T)
 
@@ -279,8 +273,6 @@ class TransferenceReport:
     """Checkpointed comparison between a simulation and its trajectory."""
 
     times: list[float]
-    sim_graphons: list[StepGraphon]
-    traj_graphons: list[StepGraphon]
     cut_dists: list[float]
     l1_dists: list[float]
     sim_densities: list[float]
@@ -328,13 +320,11 @@ def transference_experiment(
     traj = integrate(rule, w0, t_end, checkpoint_times=times, opts=opts)
 
     state = ProcessState(rule, graph0, seed)
-    report = TransferenceReport([], [], [], [], [], [], [])
+    report = TransferenceReport([], [], [], [], [])
     for t, (_, traj_w) in zip(times, traj.checkpoints):
         state.step_many(floor(t * n * n) - state.step_count)
         sim_w = state.stepped(target_masses=w0.masses)
         report.times.append(t)
-        report.sim_graphons.append(sim_w)
-        report.traj_graphons.append(traj_w)
         report.cut_dists.append(cut_norm_exact(kernel_sub(sim_w, traj_w)))
         report.l1_dists.append(l1_dist(sim_w, traj_w))
         report.sim_densities.append(state.edge_density())

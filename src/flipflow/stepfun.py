@@ -289,11 +289,6 @@ class SimGraph:
     def num_parts(self) -> int:
         return max(self.part_of) + 1 if self.part_of else 0
 
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        self.adj[u, v] = self.adj[v, u] = 1
-
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
@@ -378,8 +373,6 @@ def stepped(graph: SimGraph, target_masses=None) -> StepGraphon:
 # Serialization
 #
 # Step graphon files (JSON, normative): { "masses": [...], "values": [[...]] }.
-# Simulation graphs export as an edge list, one "u v" per line, 1-based,
-# u < v, with a part-assignment sidecar file of "vertex part" lines.
 
 
 def save_graphon(w: StepKernel, path) -> None:
@@ -399,30 +392,3 @@ def load_graphon(path) -> StepGraphon:
         except (KeyError, TypeError, ValueError):
             raise ConfigError([f"graphon file {path} needs numeric {key!r}"]) from None
     return StepGraphon(*arrays)
-
-
-def save_sim_graph(graph: SimGraph, path) -> None:
-    path = str(path)
-    us, vs = np.nonzero(np.triu(graph.adj, 1))  # the edges u < v in row-major order
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u + 1} {v + 1}\n" for u, v in zip(us.tolist(), vs.tolist()))
-    with open(path + ".parts", "w", encoding="utf-8") as fh:
-        for v, p in enumerate(graph.part_of):
-            fh.write(f"{v + 1} {p + 1}\n")
-
-
-def load_sim_graph(path) -> SimGraph:
-    path = str(path)
-    part_of = {}
-    with open(path + ".parts", encoding="utf-8") as fh:
-        for line in fh:
-            v, p = line.split()
-            part_of[int(v) - 1] = int(p) - 1
-    n = len(part_of)
-    with open(path, encoding="utf-8") as fh:
-        ends = np.array([line.split() for line in fh], dtype=np.int64).reshape(-1, 2) - 1
-    if ((ends < 0) | (ends >= n)).any():
-        raise ValueError(f"edge endpoint outside [1, {n}]")
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = 1
-    return SimGraph(n, adj, [part_of[v] for v in range(n)])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonFiniteValueError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
-from .stepfun import StepGraphon, cut_norm_exact, kernel_sub, linf_dist
+from .stepfun import VALUE_BAND, StepGraphon, cut_norm_exact, kernel_sub, linf_dist
 from .velocity import RHS_BAND, VelocityPlan, eval_poly, velocity_poly
 from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps trajectory.velocity)
 
@@ -47,7 +47,6 @@ def _read_span(f, y0, t_end, times, opts, band=False):
 class Trajectory:
     """Time-stamped step graphons along one flow, with integrator stats."""
 
-    masses: np.ndarray
     checkpoints: list  # [(t, StepGraphon)]
     stats: StepStats = field(default_factory=StepStats)
 
@@ -68,7 +67,7 @@ def flow_at(
         return w0
     plan, y0 = _start(rule, w0)
     leg = integrate_span(plan, y0, 0.0, t, opts, band=t > 0)
-    return StepGraphon(w0.masses, plan.unpack(leg.y), band=opts.band_tol if t > 0 else RHS_BAND)
+    return StepGraphon(w0.masses, plan.unpack(leg.y), band=VALUE_BAND if t > 0 else RHS_BAND)
 
 
 def integrate(
@@ -93,9 +92,8 @@ def integrate(
         raise ValueError("checkpoint times must lie in [0, t_end]")
     plan, y0 = _start(rule, w0)
     states, leg = _read_span(plan, y0, max([t_end, *times]), times, opts, band=True)
-    checkpoints = [(t, StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol))
-                   for t, y in zip(times, states)]
-    return Trajectory(w0.masses, checkpoints, leg.stats)
+    checkpoints = [(t, StepGraphon(w0.masses, plan.unpack(y))) for t, y in zip(times, states)]
+    return Trajectory(checkpoints, leg.stats)
 
 
 def semigroup_check(
@@ -142,8 +140,8 @@ def backward_age(
     """
     plan, y0 = _start(rule, w0)
     vel0 = plan(y0)
-    touching_low = y0 <= opts.band_tol
-    touching_high = y0 >= 1.0 - opts.band_tol
+    touching_low = y0 <= VALUE_BAND
+    touching_high = y0 >= 1.0 - VALUE_BAND
     # backward motion is -velocity: a 0-entry with positive velocity (or a
     # 1-entry with negative velocity) leaves the space immediately
     if np.any(touching_low & (vel0 > 0)) or np.any(touching_high & (vel0 < 0)):
@@ -169,7 +167,7 @@ def backward_age(
             t_in, y_in = t_mid, y_mid
         else:
             t_out = t_mid
-    origin = StepGraphon(w0.masses, plan.unpack(y_in), band=opts.band_tol)
+    origin = StepGraphon(w0.masses, plan.unpack(y_in))
     return AgeResult(False, abs(t_in), origin, max_age)
 
 
@@ -222,7 +220,7 @@ def find_destination(
 
     integrate_span(plan, y0, 0.0, t_max, opts, visit, band=True)
     converged = residual < eps_vel and movement < eps_move
-    w = StepGraphon(w0.masses, plan.unpack(y), band=opts.band_tol)
+    w = StepGraphon(w0.masses, plan.unpack(y))
     return DestinationResult(converged, w, residual, movement, t)
 
 

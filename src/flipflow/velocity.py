@@ -360,15 +360,15 @@ class VelocityPoly:
     """Velocity restricted to constant graphons, as a polynomial.
 
     `bernstein[ell]` is the control value 2 * delta_ell of the basis
-    function C(P, ell) d**ell (1-d)**(P-ell).
+    function C(P, ell) d**ell (1-d)**(P-ell), where the degree P =
+    C(k, 2) is len(bernstein) - 1.
     """
 
-    degree: int
     bernstein: np.ndarray
 
 
 def velocity_poly(rule: Rule) -> VelocityPoly:
-    return VelocityPoly(comb(rule.k, 2), 2.0 * deltas(rule))
+    return VelocityPoly(2.0 * deltas(rule))
 
 
 def eval_poly(poly: VelocityPoly, d):

@@ -3,7 +3,9 @@
 The oracles here are deliberately independent of the library code paths
 they check: densities enumerate assignments with itertools, cut norms
 enumerate every subset pair, rooted densities multiply factors in plain
-Python loops, pair coefficients walk every rule entry, the velocity sums
+Python loops, pair coefficients walk every entry of each distinct row
+(once per row object, which every F drawing that row shares), patterns
+drawn by vertex tuples are read pair by pair, the velocity sums
 its definition term by term, and block averages loop over ordered vertex
 pairs.  Graph sampling has a reference that draws and writes one row at
 a time into a bool matrix and mirrors it whole, and block counts an
@@ -24,7 +26,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from flipflow import LabeledGraph, Rule, StepGraphon, StepKernel, induced_pattern, pair_list, velocity_poly
+from flipflow import LabeledGraph, Rule, SimGraph, StepGraphon, StepKernel, pair_list, velocity_poly
 from flipflow.graphs import pair_position
 from flipflow.simulate import _BLOCK
 from flipflow.streams import substream
@@ -119,17 +121,30 @@ def random_rule(rng: np.random.Generator, k: int, active: float = 1.0) -> Rule:
 
 
 def brute_pair_coefficients(rule) -> np.ndarray:
-    """Signed pair coefficients by a loop over every (F, H, p) rule entry."""
+    """Signed pair coefficients by a loop over the (H, p) entries of each row.
+
+    For an F without pair pos the coefficient is the sum of p over the
+    entries whose H has the pair; for an F with it, 0.0 - p - p - ...
+    over the entries whose H lacks it.  Neither sum depends on F beyond
+    that bit, so each row object is walked once, in entry order.
+    """
     npairs = comb(rule.k, 2)
+    sums = {}  # id(row) -> [pos][bit of F at pos]
     coeff = np.zeros((rule.num_graphs, npairs))
     for f, row in enumerate(rule.rows):
-        for h, p in row:
-            if p == 0.0 or h == f:
-                continue
-            diff = f ^ h
-            for pos in range(npairs):
-                if diff >> pos & 1:
-                    coeff[f, pos] += p if (h >> pos & 1) else -p
+        if id(row) not in sums:
+            by_bit = [[0.0, 0.0] for _ in range(npairs)]
+            for h, p in row:
+                if p == 0.0:
+                    continue
+                for pos in range(npairs):
+                    if h >> pos & 1:
+                        by_bit[pos][0] += p
+                    else:
+                        by_bit[pos][1] -= p
+            sums[id(row)] = by_bit
+        for pos, pair_sums in enumerate(sums[id(row)]):
+            coeff[f, pos] = pair_sums[f >> pos & 1]
     return coeff
 
 
@@ -255,6 +270,24 @@ def replay_tuple(columns, at: int) -> list[int]:
             x += x >= pick
         tup.append(x)
     return tup
+
+
+def graph_from_edges(n: int, edges, part_of=None) -> SimGraph:
+    """SimGraph on n vertices with the undirected `edges`."""
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return SimGraph(n, adj, part_of)
+
+
+def induced_pattern(graph, tup) -> LabeledGraph:
+    """Pattern drawn by an ordered tuple of distinct vertices of a graph:
+    bit p(a, b) is set iff tup[a] tup[b] is an edge."""
+    bits = 0
+    for p, (a, b) in enumerate(pair_list(len(tup))):
+        if graph.adj[tup[a], tup[b]]:
+            bits |= 1 << p
+    return LabeledGraph(len(tup), bits)
 
 
 def sequential_drift(rule: Rule, graph, parts, samples: int, seed: int):

@@ -134,10 +134,6 @@ def test_periodic_demo_csv(tmp_path):
 
 
 def test_config_file_round_trip_and_flag_precedence(tmp_path, capsys):
-    cfg = ExperimentConfig(mode="trajectory", rule="er", init="const:0",
-                           t_end=1.0, checkpoints=3, out="x.csv")
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
-
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(
         {"rule": "er", "init": "const:0", "t-end": 1.0, "checkpoints": 3}

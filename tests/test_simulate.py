@@ -14,7 +14,6 @@ from flipflow import (
     constant,
     erdos_renyi_rule,
     extremist_rule,
-    induced_pattern,
     make_rule,
     one_step_expectation_check,
     removal_rule,
@@ -32,7 +31,16 @@ from flipflow.rules import BUILTIN_RULES
 from flipflow.simulate import _BLOCK, _distinct_tuples
 from flipflow.stepfun import block_counts, block_graphon
 
-from conftest import brute_block_average, random_rule, raises_exactly, sequential_drift, sequential_steps
+from conftest import (
+    brute_block_average,
+    graph_from_edges,
+    induced_pattern,
+    random_rule,
+    raises_exactly,
+    replay_tuple,
+    sequential_drift,
+    sequential_steps,
+)
 
 ER = erdos_renyi_rule()
 TR = triangle_removal_rule()
@@ -51,9 +59,7 @@ def test_er_first_step_from_empty_adds_one_edge():
 
 
 def test_triangle_free_start_is_absorbed():
-    g = SimGraph(9)
-    for u, v in ((0, 1), (1, 2), (2, 3), (4, 5)):
-        g.add_edge(u, v)
+    g = graph_from_edges(9, [(0, 1), (1, 2), (2, 3), (4, 5)])
     state = ProcessState(TR, g, seed=7)
     before = state.adj.copy()
     state.step_many(3000)
@@ -106,11 +112,14 @@ def test_run_is_deterministic():
 def test_locality_of_single_steps():
     g = sample_graph(30, constant(0.5), substream(6, "init"))
     state = ProcessState(EXT3, g, seed=2)
-    for _ in range(200):
-        before = state.snapshot()
+    tuple_rng = substream(2, "tuples")
+    columns = [tuple_rng.integers(0, 30 - s, size=_BLOCK).tolist() for s in range(3)]
+    for step in range(200):
+        before = SimGraph(state.n, state.adj, state.part_of)
         state.step_many(1)
-        after = state.snapshot()
-        tup = set(state.last_tuple)
+        after = SimGraph(state.n, state.adj, state.part_of)
+        drawn_tuple = replay_tuple(columns, step)
+        tup = set(drawn_tuple)
         changed = {
             (u, v)
             for u in range(30)
@@ -121,8 +130,8 @@ def test_locality_of_single_steps():
         for u, v in changed:
             assert u in tup and v in tup
         # the tuple's new pattern is the rule's target for its old one
-        drawn = induced_pattern(before, state.last_tuple).edges
-        assert induced_pattern(after, state.last_tuple).edges == EXT3.rows[drawn][0][0]
+        drawn = induced_pattern(before, drawn_tuple).edges
+        assert induced_pattern(after, drawn_tuple).edges == EXT3.rows[drawn][0][0]
 
 
 def test_monotone_rules_move_edge_counts_one_way():
@@ -146,9 +155,9 @@ def test_incremental_counters_match_recount():
     g = sample_graph(80, two_block((0.5, 0.5), 0.7, 0.2, 0.4), substream(9, "init"))
     state = ProcessState(extremist_rule(3), g, seed=13)
     state.step_many(5000)
-    fresh = stepped(state.snapshot())
-    assert np.allclose(state.stepped().values, fresh.values, atol=1e-12)
-    assert state.edge_total == state.snapshot().edge_count()
+    now = SimGraph(state.n, state.adj, state.part_of)
+    assert np.allclose(state.stepped().values, stepped(now).values, atol=1e-12)
+    assert state.edge_total == now.edge_count()
 
 
 def three_part_graph():
@@ -156,11 +165,8 @@ def three_part_graph():
     part_of = [2, 1, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 2]
     g = sample_graph(len(part_of), constant(0.4), substream(14, "init"))
     g.part_of = part_of
-    members = [v for v, p in enumerate(part_of) if p == 1]
-    for u in members:
-        for v in members:
-            if u < v:
-                g.add_edge(u, v)
+    members = np.flatnonzero(np.array(part_of) == 1)
+    g.adj[np.ix_(members, members)] = 1 - np.eye(len(members), dtype=np.uint8)
     return g
 
 
@@ -301,7 +307,6 @@ def test_any_split_of_the_steps_gives_the_same_state():
         else:
             split.step_many(min(int(rng.integers(0, 3000)), total - split.step_count))
     assert split.step_count == total
-    assert split.last_tuple == whole.last_tuple
     assert_same_state(split, (whole.adj, whole.block_counts, whole.edge_total))
     assert_same_state(split, sequential_steps(EXT3, g, 8, total))
 

@@ -20,15 +20,12 @@ from flipflow import (
     density,
     enumerate_graphs,
     induced_density,
-    induced_pattern,
     kernel_sub,
     l1_dist,
     linf_dist,
     load_graphon,
-    load_sim_graph,
     sample_graph,
     save_graphon,
-    save_sim_graph,
     stepped,
     substream,
     two_block,
@@ -39,6 +36,8 @@ from conftest import (
     brute_block_counts,
     brute_cut_norm,
     brute_density,
+    graph_from_edges,
+    induced_pattern,
     raises_exactly,
     random_graphon,
     random_graphon_pair,
@@ -305,10 +304,7 @@ def test_sim_graph_rejects_a_wrong_shape_and_a_short_part_assignment():
 
 def test_stepped_conventions():
     n = 9
-    g = SimGraph(n, part_of=[0] * 4 + [1] * 5)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
+    g = SimGraph(n, 1 - np.eye(n, dtype=np.uint8), part_of=[0] * 4 + [1] * 5)
     w = stepped(g)
     assert w.values[0, 0] == pytest.approx(1 - 1 / 4)
     assert w.values[1, 1] == pytest.approx(1 - 1 / 5)
@@ -367,33 +363,14 @@ def test_graphon_file_round_trip(tmp_path):
             load_graphon(bad)
 
 
-def test_sim_graph_file_round_trip(tmp_path):
-    g = sample_graph(30, two_block((0.5, 0.5), 0.8, 0.2, 0.5), substream(3, "io"))
-    path = tmp_path / "graph.txt"
-    save_sim_graph(g, path)
-    loaded = load_sim_graph(path)
-    assert np.array_equal(loaded.adj, g.adj)
-    assert loaded.part_of == g.part_of
-    first = path.read_text().splitlines()[0].split()
-    assert int(first[0]) < int(first[1])  # 1-based, u < v
-    for bad_edge in ("3 3\n", "0 2\n", "1 31\n"):
-        path.write_text(bad_edge)
-        with pytest.raises(ValueError):
-            load_sim_graph(path)
-
-
 def test_sim_graph_adjacency():
-    g = SimGraph(4, part_of=[0, 0, 1, 1])
-    g.add_edge(0, 2)
-    g.add_edge(3, 1)
+    g = graph_from_edges(4, [(0, 2), (3, 1)], part_of=[0, 0, 1, 1])
     assert g.adj.dtype == np.uint8
     assert g.adj[2, 0] and g.adj[1, 3] and not g.adj[0, 1]
     assert g.edge_count() == 2
     h = SimGraph(4, g.adj, g.part_of)  # a given adjacency is copied
     h.adj[0, 2] = h.adj[2, 0] = 0
     assert g.adj[0, 2] and not h.adj[0, 2]
-    with pytest.raises(ValueError):
-        g.add_edge(1, 1)
     for bad in ([[0, 1], [0, 0]], [[1, 0], [0, 0]], [[0, 2], [2, 0]], [[0]]):
         with pytest.raises(ValueError):
             SimGraph(2, bad)

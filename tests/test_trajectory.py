@@ -36,6 +36,7 @@ from flipflow import (
 )
 import flipflow.trajectory as trajectory_module
 from flipflow.integrators import _DP_A, _RK4_DENSE, integrate_span
+from flipflow.stepfun import VALUE_BAND
 from flipflow.trajectory import (
     CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _genome_check, _start,
 )
@@ -84,13 +85,10 @@ def test_extremist_trajectory_stays_in_symmetric_two_block_class():
 
 
 def test_band_is_asserted_not_clamped():
-    opts = IntegratorOptions()
     traj = integrate(ER, constant(0.0), 3.0)
     for _t, w in traj.checkpoints:
-        assert w.values.min() >= -opts.band_tol
-        assert w.values.max() <= 1 + opts.band_tol
-    with pytest.raises(ValueError):
-        IntegratorOptions(band_tol=1e-3)
+        assert w.values.min() >= -VALUE_BAND
+        assert w.values.max() <= 1 + VALUE_BAND
     with pytest.raises(ValueError):
         IntegratorOptions(rtol=-1.0)
     with pytest.raises(ValueError):
