@@ -68,24 +68,19 @@ class Rule:
         order = np.lexsort((p, h, r))
         h, p = h[order], p[order]
         self._entries = (r, h, p)
-        # the table of `replacement_table()`: each row's entries, then its sentinel slot
-        starts = np.concatenate(([0], np.cumsum(lengths + 1)))
-        sentinel, slot = starts[1:] - 1, np.arange(len(r)) + r
-        targets, cdf = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
-        targets[slot] = h
         # each row's CDF adds its entries in order, as `accumulate` would:
         # one cumsum along the rows of each length
+        starts, cdf = np.concatenate(([0], np.cumsum(lengths))), np.empty(len(r))
         for length in set(lengths.tolist()):
             at = np.flatnonzero(lengths[r] == length)
-            cdf[slot[at]] = np.cumsum(p[at].reshape(-1, length), axis=1).ravel()
-        targets[sentinel], cdf[sentinel] = targets[sentinel - 1], cdf[sentinel - 1]
-        self._table = (targets, cdf, starts)
+            cdf[at] = np.cumsum(p[at].reshape(-1, length), axis=1).ravel()
+        self._table = (h, cdf, starts)
         # per graph, the first and last entry of its row
-        self._first, self._last = starts[self.row_of], sentinel[self.row_of] - 1
+        self._first, self._last = starts[self.row_of], starts[self.row_of + 1] - 1
         self._rounds = int(lengths.max() - 1).bit_length()
-        for a in (self.row_of, r, h, p, targets, cdf, starts, self._first, self._last):
+        for a in (self.row_of, r, h, p, cdf, starts, self._first, self._last):
             a.flags.writeable = False
-        self._rows = self._pair_coeffs = self._deltas = None
+        self._rows = self._pair_coeffs = self._deltas = self._pattern_table = None
 
     @classmethod
     def from_row_map(cls, k: int, row_map: dict) -> "Rule":
@@ -98,12 +93,12 @@ class Rule:
         return cls(k, [row_map.get(f, [(f, 1.0)]) for f in range(num_graphs)])
 
     def replacement_table(self):
-        """Read-only arrays (targets, cdf, starts) holding every distinct row in order.
+        """Read-only arrays (h, cdf, starts) holding every distinct row in order.
 
-        Row r fills slots starts[r] to starts[r + 1] - 1: its H indices,
-        ascending, with their cumulative probabilities, then a sentinel
-        slot repeating the last H, which `bisect_right(cdf, u, starts[r],
-        starts[r + 1] - 1)` reaches when rounding leaves the row short of u.
+        Row r fills entries starts[r] to starts[r + 1] - 1: its H indices,
+        ascending, with their cumulative probabilities.  `bisect_right(cdf,
+        u, starts[r], starts[r + 1] - 1)` picks the replacement, the last
+        entry when rounding leaves the row's total short of u.
         """
         return self._table
 
@@ -112,23 +107,23 @@ class Rule:
         `bisect_right(cdf, u, starts[r], starts[r + 1] - 1)` on the row
         r = row_of[F] of each drawn F, run on all at once.  The search
         spans a row's entries only (a variate past the last CDF value stops
-        on the last entry, whose H the sentinel repeats), so it takes
-        bit_length(longest row - 1) rounds, none for a deterministic rule.
+        on the last entry), so it takes bit_length(longest row - 1) rounds,
+        none for a deterministic rule.
         """
-        targets, cdf, _ = self._table
+        h, cdf, _ = self._table
         lo, hi = self._first[drawn], self._last[drawn]
         for _ in range(self._rounds):
             mid = (lo + hi) // 2
             left = u < cdf[mid]
             lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
-        return targets[lo]
+        return h[lo]
 
     @property
     def rows(self) -> list:
         """Per graph F, its row as (H, p) pairs sorted by H; graphs of one distinct row share a list."""
         if self._rows is None:
-            r, h, p = self._entries
-            cut = np.flatnonzero(r[1:] != r[:-1]) + 1  # each row's first entry but the first row's
+            _, h, p = self._entries
+            cut = self._table[2][1:-1]  # each row's first entry but the first row's
             distinct = [list(zip(a.tolist(), b.tolist())) for a, b in zip(np.split(h, cut), np.split(p, cut))]
             self._rows = [distinct[i] for i in self.row_of.tolist()]
         return self._rows
@@ -345,15 +340,14 @@ def _check_builder_order(k: int) -> None:
 # ---------------------------------------------------------------------------
 # Rule files (JSON, normative):
 #   { "k": int, "rows": [ [F_index, [[H_index, prob], ...]], ... ] }
-# Omitted rows default to identity (idle).  The writer emits rows sorted
-# by F index and entries sorted by H index.
+# Omitted rows default to identity (idle).  The writer emits one line,
+# rows sorted by F index and entries sorted by H index.
 
 
 def save_rule(rule: Rule, path) -> None:
     payload = {"k": rule.k, "rows": [[f, row] for f, row in enumerate(rule.rows) if row != [(f, 1.0)]]}  # idle rows are implicit
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")  # one call, so the C encoder runs; json.dump never uses it
 
 
 def load_rule(path) -> Rule:

@@ -7,14 +7,15 @@ picked; `_distinct_tuples`) and one uniform variate for the replacement.
 Steps whose tuples share no vertex pair commute, so a span is applied in
 wavefronts: a step's level is 1 plus the largest level of the earlier
 steps that wrote one of its pairs, and each level reads its patterns
-from a dense n x n byte adjacency, bisects `Rule.replacement_table()`
-(`Rule.sample_replacements`) and writes the new pairs back, all steps at
-once.  Every pair then sees its reads and writes in step order, so the
-result is exactly that of stepping one at a time, and the output depends
-only on the seed, never on how the steps are split across `step_many`
-calls.  Ordered block edge counts (`stepfun.block_counts`) seed counters
-that each call keeps up to date, so checkpoint summaries, in `run` and
-in transference experiments alike, cost O(parts^2), not O(n^2).
+from the upper triangle of a dense n x n byte adjacency, bisects
+`Rule.replacement_table()` (`Rule.sample_replacements`) and writes the
+new pairs back, all steps at once.  Every pair then sees its reads and
+writes in step order, so the result is exactly that of stepping one at
+a time, and the output depends only on the seed, never on how the steps
+are split across `step_many` calls.  Ordered block edge counts
+(`stepfun.block_counts`) seed counters that each call keeps up to date,
+so checkpoint summaries, in `run` and in transference experiments
+alike, cost O(parts^2), not O(n^2).
 
 Randomness comes from named substreams of a counter-based generator
 keyed by (seed, purpose), so runs are bit-reproducible across platforms
@@ -35,6 +36,7 @@ from .rules import Rule, _edge_bits
 from .stepfun import (
     SimGraph,
     StepGraphon,
+    _tiles,
     block_counts,
     block_graphon,
     cut_norm_exact,
@@ -73,9 +75,10 @@ def _distinct_tuples(rng: np.random.Generator, n: int, k: int, size: int) -> np.
 class ProcessState:
     """Mutable simulation state confined to one worker.
 
-    Steps write a flat uint8 copy of the start graph's adjacency (entry
-    u * n + v), never the graph itself; `adj` is a read-only view of it.
-    `block_counts[i][j]` counts the ordered vertex pairs (u, v) with u in
+    Steps write a flat uint8 copy of the start graph's adjacency, never the
+    graph itself, and only its upper entry min(u, v) * n + max(u, v) of
+    each vertex pair; `adj` fills in the lower triangle when read.
+    `block_counts[i, j]` counts the ordered vertex pairs (u, v) with u in
     part i, v in part j and uv an edge.
     """
 
@@ -83,32 +86,36 @@ class ProcessState:
         if graph.n < rule.k:
             raise ValueError(f"need at least k={rule.k} vertices, got {graph.n}")
         self.rule = rule
-        self.seed = seed
         self.n = graph.n
         self._flat = graph.adj.ravel().copy()
-        self.adj = self._flat.reshape(self.n, self.n)
-        self.adj.flags.writeable = False
-        self.part_of = list(graph.part_of)
-        self.num_parts = graph.num_parts
+        self.part_of = np.array(graph.part_of)
         self.step_count = 0
 
-        m = self.num_parts
+        m = graph.num_parts
         self.part_sizes = np.bincount(self.part_of, minlength=m)
-        self.block_counts = block_counts(self.adj, self.part_of, m).astype(np.int64).tolist()
-        self.edge_total = sum(map(sum, self.block_counts)) // 2
+        self.block_counts = block_counts(graph.adj, self.part_of, m).astype(np.int64)
+        self.edge_total = int(self.block_counts.sum()) // 2
 
-        self._part = np.array(self.part_of)
-        a, b = np.array(pair_list(rule.k)).T
-        # tuple columns of both entries (u, v) and (v, u) of every pair
-        self._ends = np.concatenate((a, b)), np.concatenate((b, a))
-        self._weights = 1 << np.arange(len(a))
-        # row h: the pair bits of graph h, twice
-        self._bits = np.tile(_edge_bits(np.arange(rule.num_graphs), len(a)), 2).astype(np.uint8)
+        self._ends = np.array(pair_list(rule.k)).T  # the tuple columns of every pair
+        self._weights = 1 << np.arange(len(self._ends[0]))
+        # row h: the pair bits of graph h
+        self._bits = _edge_bits(np.arange(rule.num_graphs), len(self._weights)).astype(np.uint8)
         self._tuple_rng = substream(seed, "tuples")
         self._replace_rng = substream(seed, "replace")
         self._tuples = np.empty((0, rule.k), dtype=np.int64)
         self._uniforms = np.empty(0)
         self._ptr = 0  # next unused step of the drawn block
+
+    @property
+    def adj(self) -> np.ndarray:
+        """Read-only n x n view of the adjacency, its lower triangle mirrored
+        tile by tile from the upper one that steps write: read it again after stepping."""
+        adj = self._flat.reshape(self.n, self.n)
+        for a, b in _tiles(self.n):
+            tile = adj[a, b]  # entry (i, j) is below the diagonal iff j < i + a.start - b.start
+            np.copyto(tile, adj[b, a].T, where=np.tri(*tile.shape, a.start - b.start - 1, dtype=bool))
+        adj.flags.writeable = False
+        return adj
 
     def step_many(self, count: int) -> None:
         """Advance by `count` flips, drawing a new block when one runs out."""
@@ -130,14 +137,15 @@ class ProcessState:
         """Apply consecutive steps level by level, as if one at a time."""
         n, flat, npairs = self.n, self._flat, len(self._weights)
         steps = len(tuples)
-        # flat adjacency positions, (u, v) of every pair and then (v, u)
-        at = tuples[:, self._ends[0]] * n + tuples[:, self._ends[1]]
+        # the one entry of every pair, min(u, v) * n + max(u, v)
+        u, v = tuples[:, self._ends[0]], tuples[:, self._ends[1]]
+        at = np.minimum(u, v) * n + np.maximum(u, v)
 
         # sort (pair, slot) keys, slot = step * npairs + p: equal
         # neighbouring pairs are the dependency edges, from each writer of
         # a pair to its next writer
         shift = (steps * npairs).bit_length()
-        key = np.minimum(at[:, :npairs], at[:, npairs:]).ravel() << shift
+        key = at.ravel() << shift
         key |= np.arange(key.size)
         key.sort()
         pair = key >> shift
@@ -157,7 +165,7 @@ class ProcessState:
         level = np.flatnonzero(waiting == 0)
         while level.size:
             pos = at[level]
-            drawn = flat[pos[:, :npairs]] @ self._weights
+            drawn = flat[pos] @ self._weights
             flat[pos] = self._bits[self.rule.sample_replacements(drawn, uniforms[level])]
             nxt = succ[level].ravel()
             nxt = nxt[nxt < steps]
@@ -170,12 +178,10 @@ class ProcessState:
         delta = flat[touched].astype(np.int64) - before
         moved = np.flatnonzero(delta)
         lo, hi = np.divmod(touched[moved], n)
-        m, delta = self.num_parts, delta[moved]
-        i, j = self._part[lo], self._part[hi]
-        counts = np.array(self.block_counts)
-        np.add.at(counts.reshape(-1), i * m + j, delta)
-        np.add.at(counts.reshape(-1), j * m + i, delta)
-        self.block_counts = counts.tolist()
+        delta = delta[moved]
+        i, j = self.part_of[lo], self.part_of[hi]
+        np.add.at(self.block_counts, (i, j), delta)
+        np.add.at(self.block_counts, (j, i), delta)
         self.edge_total += int(delta.sum())
 
     # -- observation ----------------------------------------------------

@@ -266,9 +266,9 @@ class SimGraph:
 
     `adj` is an n x n uint8 array, symmetric with a zero diagonal, whose
     entry (u, v) is 1 iff uv is an edge; it costs n^2 bytes.  A given `adj`
-    is copied once and checked tile by tile.  `part_of` assigns each vertex
-    to a part of the step-graphon partition it was sampled from (or any
-    caller-chosen grouping).
+    is copied once and checked tile by tile.  `part_of` gives each vertex a
+    non-negative integer label, its part of the step-graphon partition it
+    was sampled from (or any caller-chosen grouping).
     """
 
     def __init__(self, n: int, adj=None, part_of=None):
@@ -279,21 +279,20 @@ class SimGraph:
         if adj is not None and (self.adj.diagonal().any() or any(
                 (self.adj[a, b] > 1).any() or (self.adj[a, b] != self.adj[b, a].T).any() for a, b in _tiles(n))):
             raise ValueError("adjacency must be a symmetric 0/1 matrix with a zero diagonal")
-        if part_of is None:
-            part_of = [0] * n
-        self.part_of = list(int(p) for p in part_of)
-        if len(self.part_of) != n:
+        labels = [0] * n if part_of is None else list(part_of)
+        if len(labels) != n:
             raise ValueError("part assignment must cover every vertex")
+        for v, p in enumerate(labels):
+            if not isinstance(p, (int, np.integer)) or p < 0:
+                raise ValueError(f"part labels must be non-negative integers, got {p!r} for vertex {v}")
+        self.part_of = list(map(int, labels))
 
     @property
     def num_parts(self) -> int:
         return max(self.part_of) + 1 if self.part_of else 0
 
-    def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
-
     def __repr__(self):
-        return f"SimGraph(n={self.n}, edges={self.edge_count()})"
+        return f"SimGraph(n={self.n}, edges={int(self.adj.sum()) // 2})"
 
 
 def _tiles(n: int) -> list:

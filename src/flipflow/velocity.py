@@ -118,9 +118,8 @@ def _pattern_table(rule: Rule) -> _PatternTable:
     over S_k is the composition of k - 1 averages over those choices:
     C(k, 2) relabelings of the table instead of k!.
     """
-    cached = getattr(rule, "_pattern_table", None)
-    if cached is not None:
-        return cached
+    if rule._pattern_table is not None:
+        return rule._pattern_table
     table = np.array(pair_coefficients(rule))
     ngraphs, npairs = table.shape
     for level in _relabelings(rule.k):

@@ -89,7 +89,7 @@ def test_deltas_and_idle_graphs_equal_loops_over_the_rows(case):
 
 
 def _slots(rule: Rule, f: int):
-    """Graph f's row in the table: its targets and CDF values, sentinel included."""
+    """Graph f's row in the table: its targets and CDF values."""
     targets, cdf, starts = rule.replacement_table()
     row = slice(starts[rule.row_of[f]], starts[rule.row_of[f] + 1])
     return targets[row].tolist(), cdf[row].tolist()

@@ -208,8 +208,8 @@ def test_replacement_table_grows_with_the_rows():
     n = 1 << 15
     rule = Rule.from_row_map(6, {0: [(h, 1.0 / n) for h in range(n)]})
     targets, cdf, starts = rule.replacement_table()
-    size = sum(len(row) + 1 for row in rule.rows)
-    assert size == (n + 1) + 2 * (n - 1)
+    size = sum(len(row) for row in rule.rows)
+    assert size == n + (n - 1)
     assert len(targets) == len(cdf) == starts[-1] == size
     assert len(starts) == n + 1
     got = rule.sample_replacements(np.array([0, 0, 0, 9]), np.array([0.0, 0.5, np.nextafter(1, 0), 0.7]))
@@ -440,7 +440,7 @@ def test_rules_hold_one_table_row_per_distinct_row(spec):
     targets, cdf, starts = rule.replacement_table()
     distinct = {id(row): row for row in rule.rows}
     assert len(starts) == len(distinct) + 1 == rule.row_of.max() + 2
-    assert len(targets) == len(cdf) == starts[-1] == sum(len(row) + 1 for row in distinct.values())
+    assert len(targets) == len(cdf) == starts[-1] == sum(len(row) for row in distinct.values())
     assert _held_bytes(rule) <= 1_000_000
     # one entry per row: the sampler runs no bisection round
     assert (rule._rounds == 0) == (spec == "extremist:5")

@@ -29,7 +29,7 @@ from flipflow import (
 from flipflow import LabeledGraph
 from flipflow.rules import BUILTIN_RULES
 from flipflow.simulate import _BLOCK, _distinct_tuples
-from flipflow.stepfun import block_counts, block_graphon
+from flipflow.stepfun import _TILE, block_counts, block_graphon
 
 from conftest import (
     brute_block_average,
@@ -103,7 +103,7 @@ def test_run_is_deterministic():
     a.step_many(4000)
     b.step_many(4000)
     assert np.array_equal(a.adj, b.adj)
-    assert a.block_counts == b.block_counts
+    assert np.array_equal(a.block_counts, b.block_counts)
     c = ProcessState(TR, g, seed=12)
     c.step_many(4000)
     assert not np.array_equal(c.adj, a.adj)
@@ -157,7 +157,7 @@ def test_incremental_counters_match_recount():
     state.step_many(5000)
     now = SimGraph(state.n, state.adj, state.part_of)
     assert np.allclose(state.stepped().values, stepped(now).values, atol=1e-12)
-    assert state.edge_total == now.edge_count()
+    assert state.edge_total == int(now.adj.sum()) // 2
 
 
 def three_part_graph():
@@ -276,7 +276,7 @@ def test_process_needs_enough_vertices():
 def assert_same_state(state, oracle):
     adj, counts, edges = oracle
     assert np.array_equal(state.adj, adj)
-    assert state.block_counts == counts
+    assert np.array_equal(state.block_counts, counts)
     assert state.edge_total == edges
 
 
@@ -309,6 +309,29 @@ def test_any_split_of_the_steps_gives_the_same_state():
     assert split.step_count == total
     assert_same_state(split, (whole.adj, whole.block_counts, whole.edge_total))
     assert_same_state(split, sequential_steps(EXT3, g, 8, total))
+
+
+def test_reading_adj_between_calls_leaves_the_run_alone():
+    g = sample_graph(40, two_block((0.3, 0.7), 0.6, 0.1, 0.5), substream(22, "init"))
+    read, unread = ProcessState(EXT3, g, seed=8), ProcessState(EXT3, g, seed=8)
+    for count in (1, 300, _BLOCK, 77):
+        read.step_many(count)
+        unread.step_many(count)
+        assert not read.adj.diagonal().any()
+    assert_same_state(read, (unread.adj, unread.block_counts, unread.edge_total))
+
+
+@pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1])
+def test_steps_write_one_entry_per_pair_and_adj_mirrors_it(n):
+    g = sample_graph(n, two_block((0.4, 0.6), 0.7, 0.2, 0.4), substream(n, "init"))
+    state = ProcessState(EXT3, g, seed=5)
+    state.step_many(20_000)
+    # every flip wrote its C(3, 2) pairs above the diagonal only
+    assert np.array_equal(np.tril(state._flat.reshape(n, n)), np.tril(g.adj))
+    adj = state.adj
+    assert not adj.flags.writeable
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    assert_same_state(state, sequential_steps(EXT3, g, 5, 20_000))
 
 
 @settings(max_examples=30, deadline=None, database=None)
