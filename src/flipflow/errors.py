@@ -10,7 +10,7 @@ class UnsupportedOrderError(FlipflowError, ValueError):
 
 
 class InvalidTupleError(FlipflowError, ValueError):
-    """Vertex tuple with duplicates or out-of-range entries."""
+    """Vertex tuple with duplicates or out-of-range entries, or a bad cell (i, j) of part indices or sample count."""
 
 
 class NonStochasticRowError(FlipflowError, ValueError):

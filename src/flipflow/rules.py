@@ -80,7 +80,7 @@ class Rule:
         self._rounds = int(lengths.max() - 1).bit_length()
         for a in (self.row_of, r, h, p, cdf, starts, self._first, self._last):
             a.flags.writeable = False
-        self._rows = self._pair_coeffs = self._deltas = self._pattern_table = None
+        self._rows = self._pair_coeffs = self._deltas = self._pattern_tables = None
 
     @classmethod
     def from_row_map(cls, k: int, row_map: dict) -> "Rule":

@@ -47,7 +47,7 @@ from .stepfun import (
 )
 from .streams import substream
 from .trajectory import DEFAULT_OPTS, integrate
-from .velocity import velocity
+from .velocity import check_cell, velocity
 
 _BLOCK = 1 << 13  # flip steps drawn together
 _SPAN = 3 << 12  # pair writes (steps x C(k, 2)) scheduled together: a few MB whatever n and k
@@ -243,6 +243,7 @@ def one_step_expectation_check(
     at the stepped graphon up to O(1/n).  Each sample replays one
     independent step from the same state without mutating it.
     """
+    check_cell(parts, graph.num_parts, samples)
     i, j = parts
     n = graph.n
     rng = substream(seed, "drift", i, j)
@@ -265,7 +266,7 @@ def one_step_expectation_check(
 
     n2 = n * (n - 1)
     empirical = float(n2 * delta.mean())
-    stderr = float(n2 * delta.std(ddof=1) / np.sqrt(samples))
+    stderr = float(n2 * delta.std(ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     exact = float(velocity(rule, stepped(graph)).values[i, j])
     return DriftCheck(empirical, exact, stderr, samples)
 

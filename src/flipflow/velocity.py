@@ -30,19 +30,22 @@ gather of the factors 1 - y and y of each pair from z = [1 - y, y] (y the
 packed upper-triangle values), a pattern-weighted sum and one bincount
 back into packed blocks.
 
-The pattern-weighted sum runs over the support of Cbar when few rows are
-nonzero, else over all 2**P patterns (P = C(k, 2)) in two stages: P(F)
-is the probability of F's low h = P // 2 pair bits times that of its
-high bits, so a matmul with the low half-distribution contracts Cbar to
-(2**(P-h), P) partial sums per multiset and a batched matmul with the
-high half ends it; each P(F) is the product of the factors its bits
-pick.  Below _SEQ_ELEMS factors (flows, where each numpy call shows) one
-take and one reduce over the pairs form it; above, it builds in place
-pair by pair, with no (pairs, patterns, rows) tensor, in the same order.
-The guard prices the k + 5 P elements a plan holds per multiset and one
-chunk's pattern sum: per multiset the support size times P, or the two
-halves and the partial sums, 2**h + 2**(P-h) * (P + 1) elements (384 at
-k = 5, not the 2**P = 1024 of the full distribution).
+The pattern-weighted sum runs over the nonzero rows of Cbar, or over all
+2**P patterns (P = C(k, 2)) in two stages: P(F) is the probability of
+F's low h = P // 2 pair bits times that of its high bits, so a matmul
+with the low half-distribution contracts Cbar to (2**(P-h), P) partial
+sums per multiset and a batched matmul with the high half ends it; each
+P(F) is the product of the factors its bits pick.  Below _SEQ_ELEMS
+factors (flows, where each numpy call shows) one take and one reduce
+over the pairs form it; above, it builds in place pair by pair, with no
+(pairs, patterns, rows) tensor, in the same order.  The rule holds both
+forms; a plan on R multisets sums over the S support rows iff S P R <=
+(2**h h + 2**(P-h) (P-h) + 2**P P / 8 + 64) R + 4096, a cost model
+fitted to timed calls.  The guard prices the k + 5 P elements a plan
+holds per multiset and one chunk's pattern sum in the form it takes:
+per multiset S P, or the two halves and the partial sums, 2**h +
+2**(P-h) * (P + 1) elements (384 at k = 5, not the 2**P = 1024 of the
+full distribution).
 
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
@@ -58,7 +61,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import GuardExceededError, IntegrationFaultError
+from .errors import GuardExceededError, IntegrationFaultError, InvalidTupleError
 from .graphs import pair_list, pair_position
 from .rules import Rule, _edge_bits, deltas, pair_coefficients
 from .stepfun import StepGraphon, StepKernel, check_masses
@@ -94,34 +97,39 @@ def _check_velocity_guard(k: int, m: int, row_elems: int) -> None:
 
 @dataclass(frozen=True)
 class _PatternTable:
-    """The averaged coefficient rows a pattern sum needs, and how to sum.
+    """One form of the averaged coefficient rows a pattern sum needs, and its cost.
 
-    Graphs with an all-zero row cost nothing: when the nonzero support is
-    small the sum runs over it directly (`bits` holds one index, over the
-    support).  Otherwise it runs over every pattern in two stages: the P
-    pair bits split into the low h = P // 2 and the high P - h, `bits`
-    holds the index of each half, and `table` holds all rows as
+    The support form sums over the nonzero rows only, so graphs with an
+    all-zero row cost nothing (`bits` holds one index, over the
+    support).  The two-stage form sums over every pattern: the P pair
+    bits split into the low h = P // 2 and the high P - h, `bits` holds
+    the index of each half, and `table` holds all rows as
     coupled[lo, hi * P + p] = Cbar[lo + 2**h * hi, p].  An index holds the
-    factor row 2p + bit for each of its pairs p and patterns.
+    factor row 2p + bit for each of its pairs p and patterns.  A plan on R
+    multisets is modelled to cost work * R + overhead; it takes the
+    cheaper form.
     """
 
     table: np.ndarray
     bits: tuple  # (support index,) or (low-half index, high-half index)
     row_elems: int  # array elements per multiset while summing
+    work: float
+    overhead: float
 
 
-def _pattern_table(rule: Rule) -> _PatternTable:
-    """Pair coefficients averaged over vertex relabelings, cached on the rule.
+def _pattern_tables(rule: Rule) -> tuple:
+    """The support and the two-stage form of the pair coefficients averaged
+    over vertex relabelings, cached on the rule.
 
     Every permutation of {0..k-1} is uniquely a product r_1 r_2 ... r_{k-1}
     with r_j a transposition (i j), i < j, or the identity, so the average
     over S_k is the composition of k - 1 averages over those choices:
     C(k, 2) relabelings of the table instead of k!.
     """
-    if rule._pattern_table is not None:
-        return rule._pattern_table
+    if rule._pattern_tables is not None:
+        return rule._pattern_tables
     table = np.array(pair_coefficients(rule))
-    ngraphs, npairs = table.shape
+    npairs = table.shape[1]
     for level in _relabelings(rule.k):
         total = table.copy()
         for graphs, target in level:
@@ -129,19 +137,19 @@ def _pattern_table(rule: Rule) -> _PatternTable:
         table = total / (len(level) + 1)
 
     support = np.flatnonzero(np.any(table != 0.0, axis=1))
-    if len(support) * 2 * npairs <= ngraphs * (2 + npairs):
-        index = (_factor_index(0, _edge_bits(support, npairs)),)
-        out = _PatternTable(table[support], index, max(len(support) * npairs, 1))
-    else:
-        h = npairs // 2
-        low, high = 1 << h, 1 << npairs - h
-        coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
-        index = (_factor_index(0, _edge_bits(np.arange(low), h)), _factor_index(h, _edge_bits(np.arange(high), npairs - h)))
-        out = _PatternTable(coupled, index, low + high * (1 + npairs))
-    for arr in (out.table, *out.bits):
-        arr.flags.writeable = False
-    rule._pattern_table = out
-    return out
+    h = npairs // 2
+    low, high = 1 << h, 1 << npairs - h
+    coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
+    halves = (_factor_index(0, _edge_bits(np.arange(low), h)), _factor_index(h, _edge_bits(np.arange(high), npairs - h)))
+    forms = (
+        _PatternTable(table[support], (_factor_index(0, _edge_bits(support, npairs)),), max(len(support) * npairs, 1), len(support) * npairs, 0),
+        _PatternTable(coupled, halves, low + high * (1 + npairs), low * h + high * (npairs - h) + low * high * npairs / 8 + 64, 4096),
+    )
+    for form in forms:
+        for arr in (form.table, *form.bits):
+            arr.flags.writeable = False
+    rule._pattern_tables = forms
+    return forms
 
 
 @lru_cache(maxsize=None)
@@ -219,10 +227,11 @@ class VelocityPlan:
         masses = np.asarray(masses, dtype=float)
         check_masses(masses)
         k, m = rule.k, len(masses)
-        patterns = _pattern_table(rule)
+        rows = comb(m + k - 1, k)
+        patterns = min(_pattern_tables(rule), key=lambda form: form.work * rows + form.overhead)
         _check_velocity_guard(k, m, patterns.row_elems)
         # each multiset's arrays hold k + 4 C(k, 2) 8-byte entries
-        small = comb(m + k - 1, k) * (k + 4 * comb(k, 2)) * 8 <= MULTISET_CACHE_BYTES
+        small = rows * (k + 4 * comb(k, 2)) * 8 <= MULTISET_CACHE_BYTES
         enum = (_multisets if small else _multisets.__wrapped__)(k, m)
         self.m = m
         self._upper = enum.upper
@@ -306,6 +315,14 @@ class MonteCarloVelocity:
     samples: int
 
 
+def check_cell(parts, m: int, samples) -> None:
+    """Raise InvalidTupleError unless `parts` is a cell (i, j) of part indices in [0, m) and `samples` an integer >= 1."""
+    if not (len(parts) == 2 and all(isinstance(x, (int, np.integer)) and 0 <= x < m for x in parts)):
+        raise InvalidTupleError(f"cell {parts!r} is not a pair of part indices in [0, {m})")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InvalidTupleError(f"samples must be an integer >= 1, got {samples!r}")
+
+
 def velocity_monte_carlo(
     rule: Rule, w: StepGraphon, parts, samples: int, seed: int
 ) -> MonteCarloVelocity:
@@ -319,32 +336,34 @@ def velocity_monte_carlo(
     block value, this estimates replacement probability minus block value
     with the drawn pattern acting as a control variate (idle draws
     contribute exactly zero).  Streams are keyed by (seed, parts, pair).
+    A free label counts the entries of the mass CDF, normalized as in
+    `Generator.choice`, at or below its variate: `choice`'s label, unsearched.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    check_cell(parts, w.m, samples)
     k, m = rule.k, w.m
     i, j = parts
     pairs = pair_list(k)
-    npairs = len(pairs)
-    bit_weights = 1 << np.arange(npairs, dtype=np.int64)
-    d = w.values
+    values = w.values.ravel()
+    cdf = w.masses.cumsum()
+    cdf /= cdf[-1]
 
-    per_sample = np.zeros(samples)
+    labels = np.empty((k, samples), dtype=np.intp)
+    total = np.zeros(samples, dtype=np.int64)
     for a, b in _ordered_pairs(k):
         rng = substream(seed, "mc-velocity", i, j, a, b)
-        labels = np.empty((samples, k), dtype=np.int64)
-        labels[:, a] = i
-        labels[:, b] = j
+        labels[a], labels[b] = i, j
         free = [v for v in range(k) if v != a and v != b]
-        if free:
-            labels[:, free] = rng.choice(m, size=(samples, len(free)), p=w.masses)
-        probs = np.empty((samples, npairs))
-        for p, (u, v) in enumerate(pairs):
-            probs[:, p] = d[labels[:, u], labels[:, v]]
-        drawn = (rng.random((samples, npairs)) < probs) @ bit_weights
+        for v, variates in zip(free, rng.random((samples, len(free))).T):
+            labels[v] = 0
+            for c in cdf[:-1]:
+                labels[v] += variates >= c
+        drawn = np.zeros(samples, dtype=np.intp)
+        for p, ((u, v), variates) in enumerate(zip(pairs, rng.random((samples, len(pairs))).T)):
+            drawn += (variates < values.take(labels[u] * m + labels[v])) << p
         replacement = rule.sample_replacements(drawn, rng.random(samples))
         root_bit = pair_position(k, a, b)
-        per_sample += (replacement >> root_bit & 1) - (drawn >> root_bit & 1)
+        total += (replacement >> root_bit & 1) - (drawn >> root_bit & 1)
+    per_sample = total.astype(float)
     estimate = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     return MonteCarloVelocity(estimate, stderr, samples)

@@ -6,9 +6,10 @@ enumerate every subset pair, rooted densities multiply factors in plain
 Python loops, pair coefficients walk every entry of each distinct row
 (once per row object, which every F drawing that row shares), patterns
 drawn by vertex tuples are read pair by pair, the velocity sums
-its definition term by term, and block averages loop over ordered vertex
-pairs.  Graph sampling has a reference that draws and writes one row at
-a time into a bool matrix and mirrors it whole, and block counts an
+its definition term by term, the Monte Carlo velocity draws its part
+labels with `Generator.choice`, and block averages loop over ordered
+vertex pairs.  Graph sampling has a reference that draws and writes one
+row at a time into a bool matrix and mirrors it whole, and block counts an
 integer count over the members of each pair of blocks.  The sequential
 stepper replays the simulator's block draws one flip at a time, and the
 drift oracle the drift harness's draws one sample at a time, both with
@@ -169,6 +170,39 @@ def brute_velocity(rule, w: StepKernel) -> np.ndarray:
                             pattern = LabeledGraph(k, f)
                             out[i, j] += coeff[f, pos] * brute_rooted(pattern, (a, b), (i, j), w)
     return out
+
+
+def choice_monte_carlo(rule: Rule, w: StepGraphon, parts, samples: int, seed: int):
+    """(estimate, stderr) of `velocity_monte_carlo` as it once drew them:
+    per ordered root pair, the free labels by `Generator.choice` on the
+    masses, the pair probabilities gathered column by column and the
+    drawn bits packed by a matmul."""
+    k, m = rule.k, w.m
+    i, j = parts
+    pairs = pair_list(k)
+    npairs = len(pairs)
+    bit_weights = 1 << np.arange(npairs, dtype=np.int64)
+    per_sample = np.zeros(samples)
+    for a in range(k):
+        for b in range(k):
+            if a == b:
+                continue
+            rng = substream(seed, "mc-velocity", i, j, a, b)
+            labels = np.empty((samples, k), dtype=np.int64)
+            labels[:, a] = i
+            labels[:, b] = j
+            free = [v for v in range(k) if v != a and v != b]
+            if free:
+                labels[:, free] = rng.choice(m, size=(samples, len(free)), p=w.masses)
+            probs = np.empty((samples, npairs))
+            for p, (u, v) in enumerate(pairs):
+                probs[:, p] = w.values[labels[:, u], labels[:, v]]
+            drawn = (rng.random((samples, npairs)) < probs) @ bit_weights
+            replacement = rule.sample_replacements(drawn, rng.random(samples))
+            root_bit = pair_position(k, a, b)
+            per_sample += (replacement >> root_bit & 1) - (drawn >> root_bit & 1)
+    stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
+    return float(per_sample.mean()), stderr
 
 
 def brute_cut_norm(kern: StepKernel) -> float:

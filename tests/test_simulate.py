@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipflow import (
+    InvalidTupleError,
     NonFiniteValueError,
     ProcessState,
     Rule,
@@ -358,6 +359,28 @@ def test_tuple_draws_are_uniform_over_ordered_tuples():
     assert seen.tolist() == [list(t) for t in permutations(range(5), 3)]
     chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
     assert chi2 < 98.32  # the 0.999 quantile of chi-square with 59 degrees of freedom
+
+
+@pytest.mark.parametrize(
+    "parts, samples, message",
+    [
+        ((-1, 0), 10, "cell (-1, 0) is not a pair of part indices in [0, 2)"),
+        ((0.5, 0), 10, "cell (0.5, 0) is not a pair of part indices in [0, 2)"),
+        ((2, 0), 10, "cell (2, 0) is not a pair of part indices in [0, 2)"),
+        ((0, 1), 0, "samples must be an integer >= 1, got 0"),
+        ((0, 1), 2.0, "samples must be an integer >= 1, got 2.0"),
+    ],
+)
+def test_drift_check_rejects_a_cell_outside_the_parts(parts, samples, message):
+    # (-1, 0) once returned empirical 0.0 next to the exact value of cell (1, 0)
+    g = SimGraph(4, part_of=[0, 0, 1, 1])
+    with raises_exactly(InvalidTupleError, message):
+        one_step_expectation_check(ER, g, parts, samples)
+
+
+def test_drift_check_takes_one_sample():
+    g = sample_graph(20, constant(0.5), substream(14, "init"))
+    assert one_step_expectation_check(ER, g, (0, 0), 1).stderr == np.inf
 
 
 def test_drift_check_needs_both_parts_non_empty():

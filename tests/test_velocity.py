@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipflow import (
     GuardExceededError,
@@ -31,12 +33,22 @@ from flipflow import (
     velocity_monte_carlo,
     velocity_poly,
 )
-from flipflow import BUILTIN_RULES, LabeledGraph
+from flipflow import BUILTIN_RULES, InvalidTupleError, LabeledGraph
 from flipflow.rules import deltas
 from flipflow.rules import make_rule
-from flipflow.velocity import MULTISET_CACHE_BYTES, VELOCITY_GUARD, _check_velocity_guard, _multisets, _pattern_table
+from flipflow.velocity import MULTISET_CACHE_BYTES, VELOCITY_GUARD, _check_velocity_guard, _multisets, _pattern_tables
 
-from conftest import brute_velocity, random_graphon, random_graphon_pair, random_rule, scalar_eval_poly
+from conftest import (
+    brute_velocity,
+    choice_monte_carlo,
+    random_graphon,
+    random_graphon_pair,
+    random_rule,
+    raises_exactly,
+    scalar_eval_poly,
+)
+
+VELOCITY = sys.modules[VelocityPlan.__module__]
 
 
 def identity_rule(k):
@@ -116,8 +128,37 @@ def test_monte_carlo_trivial_rule_exact_zero():
 
 
 def test_monte_carlo_needs_at_least_one_sample():
-    with pytest.raises(ValueError, match="need at least one sample"):
+    with raises_exactly(InvalidTupleError, "samples must be an integer >= 1, got 0"):
         velocity_monte_carlo(identity_rule(3), constant(0.4), (0, 0), 0, seed=1)
+
+
+@pytest.mark.parametrize("samples", [-3, 1.5, 2.0, "3"])
+def test_monte_carlo_rejects_a_sample_count_that_is_not_a_positive_integer(samples):
+    with raises_exactly(InvalidTupleError, f"samples must be an integer >= 1, got {samples!r}"):
+        velocity_monte_carlo(identity_rule(3), constant(0.4), (0, 0), samples, seed=1)
+
+
+@pytest.mark.parametrize("parts", [(-1, 0), (0, -1), (0.5, 0), (2, 0), (0, 2), (0, 0, 1)])
+def test_monte_carlo_rejects_a_cell_outside_the_parts(parts):
+    # on a 2-part graphon (-1, 0) once estimated cell (1, 0), (0.5, 0)
+    # cell (0, 0), and (2, 0) raised a bare IndexError
+    w = two_block((0.5, 0.5), 0.9, 0.9, 0.2)
+    with raises_exactly(InvalidTupleError, f"cell {parts!r} is not a pair of part indices in [0, 2)"):
+        velocity_monte_carlo(extremist_rule(3), w, parts, 100, seed=1)
+
+
+def test_monte_carlo_is_the_choice_oracle_bit_for_bit():
+    # labels compared with the mass CDF are the labels Generator.choice
+    # draws from the same variates: random rules of order 2-5 on 1-6 parts
+    # and on 17, diagonal and off-diagonal cells, several seeds
+    rng = np.random.default_rng(29)
+    cases = [(k, m) for k in range(2, 6) for m in range(1, 7)] + [(3, 17), (4, 17)]
+    for k, m in cases:
+        rule, w = random_rule(rng, k, 0.5), random_graphon(rng, m)
+        for cell in {(0, 0), (m - 1, m - 1), (m - 1, 0), (0, m // 2)}:
+            samples, seed = int(rng.integers(1, 200)), int(rng.integers(2**31))
+            mc = velocity_monte_carlo(rule, w, cell, samples, seed)
+            assert (mc.estimate, mc.stderr) == choice_monte_carlo(rule, w, cell, samples, seed), (k, m, cell)
 
 
 def test_monte_carlo_matches_exact():
@@ -224,7 +265,8 @@ def test_velocity_guard():
     # all, and first exceeds it at 47 parts, an idle order-6 rule (one
     # element, one chunk) at 30 parts
     ext4, ext5, idle6 = extremist_rule(4), extremist_rule(5), identity_rule(6)
-    assert _pattern_table(ext5).row_elems == 32 + 32 + 32 * 10
+    assert _pattern_tables(ext5)[1].row_elems == 32 + 32 + 32 * 10
+    assert VelocityPlan(ext5, [1.0])._bits == _pattern_tables(ext5)[1].bits
     chunk5 = (1 << 23) // 384
     assert comb(50, 5) * 55 + chunk5 * 384 <= VELOCITY_GUARD < comb(51, 5) * 55 + chunk5 * 384
     assert comb(34, 6) * (1 + 81) <= VELOCITY_GUARD < comb(35, 6) * (1 + 81)
@@ -265,33 +307,35 @@ def test_velocity_result_is_symmetric(rng):
         assert np.array_equal(vel, vel.T)
 
 
-def pattern_sum_path(rule):
-    return "support" if len(_pattern_table(rule).bits) == 1 else "two-stage"
+FORMS = ("support", "two-stage")
 
 
-def test_velocity_and_rhs_match_the_definition(rng):
-    # random rules of every builder order, on both pattern sums at k = 3
-    # and 4 (a rule with few moving rows sums over its support), 1-3
-    # parts, and a graphon whose parts 0 and 1 are twins (equal masses
+def pattern_sum_path(rule, m):
+    return FORMS[len(VelocityPlan(rule, np.full(m, 1.0 / m))._bits) - 1]
+
+
+def force_form(monkeypatch, form):
+    """Make every plan sum its patterns in `form`, the only one offered."""
+    at = FORMS.index(form)
+    monkeypatch.setattr(VELOCITY, "_pattern_tables", lambda rule: (_pattern_tables(rule)[at],))
+
+
+def test_velocity_and_rhs_match_the_definition(rng, monkeypatch):
+    # random rules of every builder order, each through both pattern sums,
+    # 1-3 parts, and a graphon whose parts 0 and 1 are twins (equal masses
     # and value rows)
     twins = StepGraphon([0.3, 0.3, 0.4], [[0.7, 0.7, 0.25], [0.7, 0.7, 0.25], [0.25, 0.25, 0.6]])
-    cases = (
-        (2, 1.0, "support"),
-        (3, 0.1, "support"),
-        (3, 1.0, "two-stage"),
-        (4, 0.03, "support"),
-        (4, 0.5, "two-stage"),
-        (5, 0.03, "two-stage"),
-    )
-    for k, active, path in cases:
+    for k, active in ((2, 1.0), (3, 0.1), (3, 1.0), (4, 0.03), (4, 0.5), (5, 0.03)):
         rule = random_rule(rng, k, active)
-        assert pattern_sum_path(rule) == path, (k, active)
-        for w in [random_graphon(rng, m) for m in (1, 2, 3)] + [twins]:
-            expect = brute_velocity(rule, w)
-            assert np.max(np.abs(velocity(rule, w).values - expect)) <= 1e-12, (k, w.m)
-            plan = VelocityPlan(rule, w.masses)
-            rhs = plan(plan.pack(w.values))
-            assert np.max(np.abs(rhs - plan.pack(expect))) <= 1e-12, (k, w.m)
+        graphons = [random_graphon(rng, m) for m in (1, 2, 3)] + [twins]
+        expects = [brute_velocity(rule, w) for w in graphons]
+        for form in FORMS:
+            force_form(monkeypatch, form)
+            for w, expect in zip(graphons, expects):
+                assert np.max(np.abs(velocity(rule, w).values - expect)) <= 1e-12, (k, w.m, form)
+                plan = VelocityPlan(rule, w.masses)
+                rhs = plan(plan.pack(w.values))
+                assert np.max(np.abs(rhs - plan.pack(expect))) <= 1e-12, (k, w.m, form)
 
 
 @pytest.mark.parametrize(
@@ -300,27 +344,50 @@ def test_velocity_and_rhs_match_the_definition(rng):
 )
 def test_plans_split_into_chunks_agree_with_one_chunk(spec, m, rng, monkeypatch):
     # a smaller _CHUNK_ELEMS splits the 6-15 multisets into 2-5 chunks,
-    # on both pattern sums at k = 3, 4 and the two-stage sum at k = 5
+    # on each pattern sum
     rule = make_rule(spec)
     w = random_graphon(rng, m)
-    y = VelocityPlan(rule, w.masses).pack(w.values)
-    whole = VelocityPlan(rule, w.masses)(y)
     expect = brute_velocity(rule, w)
-    rows, row_elems = comb(m + rule.k - 1, rule.k), _pattern_table(rule).row_elems
-    for chunks in (2, 3, 5):
-        monkeypatch.setattr(sys.modules[VelocityPlan.__module__], "_CHUNK_ELEMS", row_elems * -(-rows // chunks))
-        plan = VelocityPlan(rule, w.masses)
-        assert 2 <= len(plan._chunks) <= 5, (spec, chunks)
-        assert np.max(np.abs(plan(y) - whole)) <= 1e-13, (spec, chunks)
-        assert np.max(np.abs(plan.unpack(plan(y)) - expect)) <= 1e-12, (spec, chunks)
+    rows, one_chunk = comb(m + rule.k - 1, rule.k), VELOCITY._CHUNK_ELEMS
+    for form in FORMS:
+        force_form(monkeypatch, form)
+        monkeypatch.setattr(VELOCITY, "_CHUNK_ELEMS", one_chunk)
+        y = VelocityPlan(rule, w.masses).pack(w.values)
+        whole = VelocityPlan(rule, w.masses)(y)
+        row_elems = _pattern_tables(rule)[FORMS.index(form)].row_elems
+        for chunks in (2, 3, 5):
+            monkeypatch.setattr(VELOCITY, "_CHUNK_ELEMS", row_elems * -(-rows // chunks))
+            plan = VelocityPlan(rule, w.masses)
+            assert 2 <= len(plan._chunks) <= 5, (spec, form, chunks)
+            assert np.max(np.abs(plan(y) - whole)) <= 1e-13, (spec, form, chunks)
+            assert np.max(np.abs(plan.unpack(plan(y)) - expect)) <= 1e-12, (spec, form, chunks)
 
 
 def test_each_built_in_rule_keeps_its_pattern_sum_path():
-    # pins the choice between the support sum and the two-stage sum
-    two_stage = {
-        "edge-removal", "complementing:3", "complementing:4", "component-completion:4",
-        "ignorant-uniform:3", "stirring-loose:4", "stirring-loose:5", "extremist:5",
-    }
-    for spec in list(BUILTIN_RULES) + sorted(two_stage - set(BUILTIN_RULES)):
-        expect = "two-stage" if spec in two_stage else "support"
-        assert pattern_sum_path(make_rule(spec)) == expect, spec
+    # pins the choice between the support sum and the two-stage sum per
+    # (rule, part count): every rule of order 3 sums over its support, one
+    # of order 5 in two stages, and one of order 4 switches as the
+    # multisets grow, extremist:4 (42 support rows of 64) after 4 parts
+    # and the others, with 49-64 support rows, after 3
+    first_two_stage = {"extremist:4": 5, "complementing:4": 4, "component-completion:4": 4, "stirring-loose:4": 4}
+    extra = ["edge-removal", "complementing:3", "ignorant-uniform:3", *first_two_stage, "stirring-loose:5", "extremist:5"]
+    for spec in list(BUILTIN_RULES) + sorted(set(extra) - set(BUILTIN_RULES)):
+        rule = make_rule(spec)
+        switch = {2: 17, 3: 17, 5: 1}.get(rule.k) or first_two_stage[spec]
+        for m in (1, 2, 3, 4, 5, 6, 8, 12, 16):
+            expect = "two-stage" if m >= switch else "support"
+            assert pattern_sum_path(rule, m) == expect, (spec, m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_both_pattern_sums_agree(k, m, active, seed):
+    rng = np.random.default_rng(seed)
+    rule, w = random_rule(rng, k, active), random_graphon(rng, m)
+    y = VelocityPlan(rule, w.masses).pack(w.values)
+    out = []
+    for form in FORMS:
+        with pytest.MonkeyPatch.context() as patch:
+            force_form(patch, form)
+            out.append(VelocityPlan(rule, w.masses)(y))
+    assert np.max(np.abs(out[0] - out[1])) <= 1e-12
