@@ -30,9 +30,8 @@ from .csvio import read_csv  # noqa: F401  (every CLI CSV parses with cli.read_c
 from .errors import ConfigError, FlipflowError, NonFiniteValueError
 from .integrators import METHODS, IntegratorOptions
 from .rules import Rule, load_rule, make_rule, validate
-from .simulate import run, transference_experiment
-from .stepfun import StepGraphon, constant, load_graphon, sample_graph, two_block
-from .streams import substream
+from .simulate import _checkpoints, _sampled, _transferences, transference_experiment
+from .stepfun import StepGraphon, constant, load_graphon, two_block
 from .trajectory import constant_fixed_points, integrate, planar_demo
 from .velocity import VelocityPlan
 from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps cli.velocity)
@@ -215,8 +214,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError([f"{length} must be non-negative, got {value}"])
     total = value if cfg.steps is not None else floor(value * n * n)
     marks = [round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)] if cfg.checkpoints > 1 else [total]
-    graph0 = sample_graph(n, w0, substream(cfg.seed, "init"))
-    snapshots = run(rule, graph0, total, checkpoint_steps=marks, seed=cfg.seed)
+    snapshots = _checkpoints(_sampled(rule, w0, n, cfg.seed), sorted(set(marks)))
     header = ["step", "t", "density"] + _cell_labels(w0.m)
     rows = [[s, s / (n * n), w.edge_density()] + _cells(w) for s, w in snapshots]
     write_csv(cfg.out, header, rows)
@@ -236,15 +234,14 @@ def _cmd_trajectory(cfg: ExperimentConfig) -> int:
 
 def _cmd_transference(cfg: ExperimentConfig) -> int:
     rule, w0, opts = _build_rule(cfg), _build_init(cfg), cfg.integrator_options()
-    # replicate r runs with seed + r, when its rows are due to be written
-    reports = (
-        transference_experiment(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed + r, opts=opts)
-        for r in range(cfg.replicates)
-    )
     if cfg.replicates == 1:
-        write_transference_csv(next(reports), cfg.out)
+        report = transference_experiment(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed, opts=opts)
+        write_transference_csv(report, cfg.out)
     else:
-        rows = ([str(r), *row] for r, report in enumerate(reports) for row in report.rows())
+        # replicate r runs with seed + r, when its rows are due to be written
+        seeds = range(cfg.seed, cfg.seed + cfg.replicates)
+        reports = _transferences(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, seeds, opts)
+        rows =([str(r), *row] for r, report in enumerate(reports) for row in report.rows())
         write_csv(cfg.out, ["replicate"] + TRANSFERENCE_HEADER, rows)
     return 0
 

@@ -18,8 +18,9 @@ so checkpoint summaries, in `run` and in transference experiments
 alike, cost O(parts^2), not O(n^2).
 
 Randomness comes from named substreams of a counter-based generator
-keyed by (seed, purpose), so runs are bit-reproducible across platforms
-regardless of how many draws each purpose consumes.
+keyed by (seed, purpose): a run's draws and integer state repeat bit for
+bit on every platform, however many draws each purpose consumes, and its
+floats may move in the last ulp with the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -75,19 +76,19 @@ def _distinct_tuples(rng: np.random.Generator, n: int, k: int, size: int) -> np.
 class ProcessState:
     """Mutable simulation state confined to one worker.
 
-    Steps write a flat uint8 copy of the start graph's adjacency, never the
-    graph itself, and only its upper entry min(u, v) * n + max(u, v) of
-    each vertex pair; `adj` fills in the lower triangle when read.
+    Steps write a flat uint8 copy of the start graph's adjacency (`_sampled`
+    adopts the graph's own), only its upper entry min(u, v) * n + max(u, v)
+    of each vertex pair; `adj` fills in the lower triangle when read.
     `block_counts[i, j]` counts the ordered vertex pairs (u, v) with u in
     part i, v in part j and uv an edge.
     """
 
-    def __init__(self, rule: Rule, graph: SimGraph, seed: int):
+    def __init__(self, rule: Rule, graph: SimGraph, seed: int, *, _adopt: bool = False):
         if graph.n < rule.k:
             raise ValueError(f"need at least k={rule.k} vertices, got {graph.n}")
         self.rule = rule
         self.n = graph.n
-        self._flat = graph.adj.ravel().copy()
+        self._flat = graph.adj.reshape(-1) if _adopt else graph.adj.ravel().copy()
         self.part_of = np.array(graph.part_of)
         self.step_count = 0
 
@@ -213,12 +214,25 @@ def run(
         checkpoint_steps[0] < 0 or checkpoint_steps[-1] > total_steps
     ):
         raise ValueError("checkpoints must lie in [0, total_steps]")
-    state = ProcessState(rule, graph0, seed)
-    out = []
-    for target in checkpoint_steps:
-        state.step_many(target - state.step_count)
-        out.append((target, state.stepped()))
-    return out
+    return list(_checkpoints(ProcessState(rule, graph0, seed), checkpoint_steps))
+
+
+def _checkpoints(state: ProcessState, steps, masses=None):
+    """(step, `state.stepped(masses)`) at each increasing step count: the one checkpoint loop."""
+    for step in steps:
+        state.step_many(step - state.step_count)
+        yield step, state.stepped(masses)
+
+
+def _sampled(rule: Rule, w0: StepGraphon, n: int, seed: int) -> ProcessState:
+    """A state stepping the adjacency of an n-vertex graph sampled from `w0`
+    itself, so the run holds one n^2 buffer; every part must draw a vertex."""
+    graph = sample_graph(n, w0, substream(seed, "init"))
+    sizes = np.bincount(graph.part_of, minlength=w0.m)
+    if not sizes.all():
+        part = int(sizes.argmin())
+        raise ValueError(f"part {part} (mass {w0.masses[part]:g}) drew none of the n = {n} vertices")
+    return ProcessState(rule, graph, seed, _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,11 @@ def transference_experiment(
     Every checkpoint reads the state's block counters only, so structure
     inside the parts goes unmeasured.
     """
+    return next(_transferences(rule, w0, n, t_end, checkpoint_count, [seed], opts))
+
+
+def _transferences(rule, w0, n, t_end, checkpoint_count, seeds, opts):
+    """A `transference_experiment` report per seed, all against one trajectory."""
     if n < 100:
         raise ValueError("transference experiments need n >= 100")
     if not isfinite(t_end):
@@ -321,20 +340,18 @@ def transference_experiment(
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     times = [t_end * (idx + 1) / checkpoint_count for idx in range(checkpoint_count)]
-    graph0 = sample_graph(n, w0, substream(seed, "init"))
     # the times are distinct and increasing, so integrate returns one
     # checkpoint per time, in order
-    traj = integrate(rule, w0, t_end, checkpoint_times=times, opts=opts)
-
-    state = ProcessState(rule, graph0, seed)
-    report = TransferenceReport([], [], [], [], [])
-    for t, (_, traj_w) in zip(times, traj.checkpoints):
-        state.step_many(floor(t * n * n) - state.step_count)
-        sim_w = state.stepped(target_masses=w0.masses)
-        report.times.append(t)
-        report.cut_dists.append(cut_norm_exact(kernel_sub(sim_w, traj_w)))
-        report.l1_dists.append(l1_dist(sim_w, traj_w))
-        report.sim_densities.append(state.edge_density())
-        report.traj_densities.append(traj_w.edge_density())
-    return report
-
+    traj = integrate(rule, w0, t_end, checkpoint_times=times, opts=opts).checkpoints
+    steps = [floor(t * n * n) for t in times]
+    for seed in seeds:
+        state = _sampled(rule, w0, n, seed)
+        report = TransferenceReport([], [], [], [], [])
+        for t, (_, traj_w), (_, sim_w) in zip(times, traj, _checkpoints(state, steps, w0.masses)):
+            report.times.append(t)
+            report.cut_dists.append(cut_norm_exact(kernel_sub(sim_w, traj_w)))
+            report.l1_dists.append(l1_dist(sim_w, traj_w))
+            report.sim_densities.append(state.edge_density())
+            report.traj_densities.append(traj_w.edge_density())
+        del state  # before the next seed samples its graph
+        yield report

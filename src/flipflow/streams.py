@@ -3,9 +3,10 @@
 All randomness in the package flows through counter-based Philox
 generators keyed by (seed, purpose tags).  The key derivation hashes the
 tag tuple, so substreams for different purposes, replicates or grid cells
-never collide and never depend on consumption order elsewhere.  Results
-are bit-reproducible across platforms because Philox output is defined
-by its key and counter alone.
+never collide and never depend on consumption order elsewhere.  The
+draws repeat bit for bit on every platform because Philox output is
+defined by its key and counter alone; floats computed from them, such
+as CSV values, can move in the last ulp with the BLAS kernel.
 """
 
 import hashlib

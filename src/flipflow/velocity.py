@@ -38,14 +38,14 @@ sums per multiset and a batched matmul with the high half ends it; each
 P(F) is the product of the factors its bits pick.  Below _SEQ_ELEMS
 factors (flows, where each numpy call shows) one take and one reduce
 over the pairs form it; above, it builds in place pair by pair, with no
-(pairs, patterns, rows) tensor, in the same order.  The rule holds both
-forms; a plan on R multisets sums over the S support rows iff S P R <=
-(2**h h + 2**(P-h) (P-h) + 2**P P / 8 + 64) R + 4096, a cost model
-fitted to timed calls.  The guard prices the k + 5 P elements a plan
-holds per multiset and one chunk's pattern sum in the form it takes:
-per multiset S P, or the two halves and the partial sums, 2**h +
-2**(P-h) * (P + 1) elements (384 at k = 5, not the 2**P = 1024 of the
-full distribution).
+(pairs, patterns, rows) tensor, in the same order.  A rule builds a form
+when a plan first picks it: a plan on R multisets sums over the S
+support rows iff S P R <= (2**h h + 2**(P-h) (P-h) + 2**P P / 8 + 64) R
++ 4096, a cost model fitted to timed calls.  The guard prices the k + 5 P
+elements a plan holds per multiset and one chunk's pattern sum in the
+form it takes: per multiset S P, or the two halves and the partial sums,
+2**h + 2**(P-h) * (P + 1) elements (384 at k = 5, not the 2**P = 1024 of
+the full distribution).
 
 On constant graphons the velocity collapses to a polynomial in the
 density whose Bernstein coefficients come from the rule's expected
@@ -97,7 +97,7 @@ def _check_velocity_guard(k: int, m: int, row_elems: int) -> None:
 
 @dataclass(frozen=True)
 class _PatternTable:
-    """One form of the averaged coefficient rows a pattern sum needs, and its cost.
+    """One form of the averaged coefficient rows a pattern sum needs.
 
     The support form sums over the nonzero rows only, so graphs with an
     all-zero row cost nothing (`bits` holds one index, over the
@@ -105,29 +105,22 @@ class _PatternTable:
     bits split into the low h = P // 2 and the high P - h, `bits` holds
     the index of each half, and `table` holds all rows as
     coupled[lo, hi * P + p] = Cbar[lo + 2**h * hi, p].  An index holds the
-    factor row 2p + bit for each of its pairs p and patterns.  A plan on R
-    multisets is modelled to cost work * R + overhead; it takes the
-    cheaper form.
+    factor row 2p + bit for each of its pairs p and patterns.
     """
 
     table: np.ndarray
     bits: tuple  # (support index,) or (low-half index, high-half index)
     row_elems: int  # array elements per multiset while summing
-    work: float
-    overhead: float
 
 
-def _pattern_tables(rule: Rule) -> tuple:
-    """The support and the two-stage form of the pair coefficients averaged
-    over vertex relabelings, cached on the rule.
+def _averaged(rule: Rule) -> np.ndarray:
+    """Cbar, the pair coefficients averaged over vertex relabelings.
 
     Every permutation of {0..k-1} is uniquely a product r_1 r_2 ... r_{k-1}
     with r_j a transposition (i j), i < j, or the identity, so the average
     over S_k is the composition of k - 1 averages over those choices:
     C(k, 2) relabelings of the table instead of k!.
     """
-    if rule._pattern_tables is not None:
-        return rule._pattern_tables
     table = np.array(pair_coefficients(rule))
     npairs = table.shape[1]
     for level in _relabelings(rule.k):
@@ -135,21 +128,38 @@ def _pattern_tables(rule: Rule) -> tuple:
         for graphs, target in level:
             total += table.take(graphs[:, None] * npairs + target)
         table = total / (len(level) + 1)
+    return table
 
-    support = np.flatnonzero(np.any(table != 0.0, axis=1))
+
+def _pattern_form(table: np.ndarray, two_stage: bool) -> _PatternTable:
+    """The support (False) or the two-stage (True) form of `table`."""
+    npairs = table.shape[1]
+    if not two_stage:
+        support = np.flatnonzero(np.any(table != 0.0, axis=1))
+        return _PatternTable(table[support], (_factor_index(0, _edge_bits(support, npairs)),), max(len(support) * npairs, 1))
     h = npairs // 2
     low, high = 1 << h, 1 << npairs - h
     coupled = table.reshape(high, low, npairs).transpose(1, 0, 2).reshape(low, -1)
     halves = (_factor_index(0, _edge_bits(np.arange(low), h)), _factor_index(h, _edge_bits(np.arange(high), npairs - h)))
-    forms = (
-        _PatternTable(table[support], (_factor_index(0, _edge_bits(support, npairs)),), max(len(support) * npairs, 1), len(support) * npairs, 0),
-        _PatternTable(coupled, halves, low + high * (1 + npairs), low * h + high * (npairs - h) + low * high * npairs / 8 + 64, 4096),
-    )
-    for form in forms:
+    return _PatternTable(coupled, halves, low + high * (1 + npairs))
+
+
+def _pattern_table(rule: Rule, rows: int) -> _PatternTable:
+    """The form a plan on `rows` multisets sums its patterns in, built when
+    a plan first picks it and cached on the rule with the support size S."""
+    cache = rule._pattern_tables  # [S, support form, two-stage form]
+    table = None
+    if cache is None:
+        table = _averaged(rule)
+        cache = rule._pattern_tables = [int(np.any(table != 0.0, axis=1).sum()), None, None]
+    npairs = comb(rule.k, 2)
+    h = npairs // 2
+    two_stage = cache[0] * npairs * rows > ((1 << h) * h + (1 << npairs - h) * (npairs - h) + (1 << npairs) * npairs / 8 + 64) * rows + 4096
+    if cache[1 + two_stage] is None:
+        form = cache[1 + two_stage] = _pattern_form(_averaged(rule) if table is None else table, two_stage)
         for arr in (form.table, *form.bits):
             arr.flags.writeable = False
-    rule._pattern_tables = forms
-    return forms
+    return cache[1 + two_stage]
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +238,7 @@ class VelocityPlan:
         check_masses(masses)
         k, m = rule.k, len(masses)
         rows = comb(m + k - 1, k)
-        patterns = min(_pattern_tables(rule), key=lambda form: form.work * rows + form.overhead)
+        patterns = _pattern_table(rule, rows)
         _check_velocity_guard(k, m, patterns.row_elems)
         # each multiset's arrays hold k + 4 C(k, 2) 8-byte entries
         small = rows * (k + 4 * comb(k, 2)) * 8 <= MULTISET_CACHE_BYTES

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -408,3 +409,29 @@ def test_a_ragged_csv_is_named(tmp_path):
     path.write_text("t,cell_1_1\n0.0,0.5,0.25\n")
     with raises_exactly(ValueError, f"ragged CSV {path}: 3 columns vs 2 headers"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("masses", [[0.999, 0.001], [0.4995, 0.001, 0.4995]])
+@pytest.mark.parametrize("mode", ["simulate", "transference"])
+def test_a_part_that_draws_no_vertex_is_an_error(tmp_path, capsys, mode, masses):
+    # with seed 1, part 1 draws none of the 100 vertices
+    init = tmp_path / "w0.json"
+    init.write_text(json.dumps({"masses": masses, "values": [[0.5] * len(masses)] * len(masses)}))
+    out = tmp_path / "o.csv"
+    args = [mode, "--rule", "er", "--init-file", str(init), "--n", "100", "--t-end", "0.01", "--seed", "1"]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: part 1 (mass 0.001) drew none of the n = 100 vertices\n"
+    assert not out.exists()
+
+
+def test_a_simulate_run_holds_one_adjacency_buffer(tmp_path):
+    n = 2000
+    args = ["simulate", "--rule", "er", "--init", "const:0.3", "--n", str(n), "--t-end", "0.001",
+            "--seed", "3", "--out", str(tmp_path / "o.csv")]
+    tracemalloc.start()
+    try:
+        assert run_cli(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n, peak / (n * n)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import comb
 
@@ -12,6 +13,7 @@ from flipflow import (
     ProcessState,
     Rule,
     SimGraph,
+    StepGraphon,
     constant,
     erdos_renyi_rule,
     extremist_rule,
@@ -243,6 +245,28 @@ def test_transference_validations():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(NonFiniteValueError):
             transference_experiment(ER, constant(0.0), n=200, t_end=bad)
+
+
+@pytest.mark.parametrize("masses", [(0.999, 0.001), (0.4995, 0.001, 0.4995)])
+def test_a_part_that_draws_no_vertex_is_named(masses):
+    # with seed 1, part 1 draws none of the 100 vertices: as the last part
+    # and as a middle one
+    w0 = StepGraphon(masses, np.full((len(masses),) * 2, 0.5))
+    with raises_exactly(ValueError, "part 1 (mass 0.001) drew none of the n = 100 vertices"):
+        transference_experiment(ER, w0, n=100, t_end=0.01, seed=1)
+
+
+def test_a_sampled_run_holds_one_adjacency_buffer():
+    # the state steps the sampled graph's own n^2 bytes; a copy would
+    # double the peak
+    n = 2000
+    tracemalloc.start()
+    try:
+        transference_experiment(ER, constant(0.3), n=n, t_end=0.001, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n, peak / (n * n)
 
 
 def test_simulator_draws_as_the_vectorised_sampler():

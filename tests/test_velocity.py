@@ -36,7 +36,7 @@ from flipflow import (
 from flipflow import BUILTIN_RULES, InvalidTupleError, LabeledGraph
 from flipflow.rules import deltas
 from flipflow.rules import make_rule
-from flipflow.velocity import MULTISET_CACHE_BYTES, VELOCITY_GUARD, _check_velocity_guard, _multisets, _pattern_tables
+from flipflow.velocity import MULTISET_CACHE_BYTES, VELOCITY_GUARD, _averaged, _check_velocity_guard, _multisets, _pattern_form
 
 from conftest import (
     brute_velocity,
@@ -265,8 +265,9 @@ def test_velocity_guard():
     # all, and first exceeds it at 47 parts, an idle order-6 rule (one
     # element, one chunk) at 30 parts
     ext4, ext5, idle6 = extremist_rule(4), extremist_rule(5), identity_rule(6)
-    assert _pattern_tables(ext5)[1].row_elems == 32 + 32 + 32 * 10
-    assert VelocityPlan(ext5, [1.0])._bits == _pattern_tables(ext5)[1].bits
+    two_stage5 = _pattern_form(_averaged(ext5), True)
+    assert two_stage5.row_elems == 32 + 32 + 32 * 10
+    assert all(np.array_equal(a, b) for a, b in zip(VelocityPlan(ext5, [1.0])._bits, two_stage5.bits, strict=True))
     chunk5 = (1 << 23) // 384
     assert comb(50, 5) * 55 + chunk5 * 384 <= VELOCITY_GUARD < comb(51, 5) * 55 + chunk5 * 384
     assert comb(34, 6) * (1 + 81) <= VELOCITY_GUARD < comb(35, 6) * (1 + 81)
@@ -314,10 +315,14 @@ def pattern_sum_path(rule, m):
     return FORMS[len(VelocityPlan(rule, np.full(m, 1.0 / m))._bits) - 1]
 
 
+def forced_form(rule, form):
+    """`rule`'s pattern-sum form `form`, built afresh."""
+    return _pattern_form(_averaged(rule), form == "two-stage")
+
+
 def force_form(monkeypatch, form):
-    """Make every plan sum its patterns in `form`, the only one offered."""
-    at = FORMS.index(form)
-    monkeypatch.setattr(VELOCITY, "_pattern_tables", lambda rule: (_pattern_tables(rule)[at],))
+    """Make every plan sum its patterns in `form`, built by the test."""
+    monkeypatch.setattr(VELOCITY, "_pattern_table", lambda rule, rows: forced_form(rule, form))
 
 
 def test_velocity_and_rhs_match_the_definition(rng, monkeypatch):
@@ -354,7 +359,7 @@ def test_plans_split_into_chunks_agree_with_one_chunk(spec, m, rng, monkeypatch)
         monkeypatch.setattr(VELOCITY, "_CHUNK_ELEMS", one_chunk)
         y = VelocityPlan(rule, w.masses).pack(w.values)
         whole = VelocityPlan(rule, w.masses)(y)
-        row_elems = _pattern_tables(rule)[FORMS.index(form)].row_elems
+        row_elems = forced_form(rule, form).row_elems
         for chunks in (2, 3, 5):
             monkeypatch.setattr(VELOCITY, "_CHUNK_ELEMS", row_elems * -(-rows // chunks))
             plan = VelocityPlan(rule, w.masses)
@@ -377,6 +382,27 @@ def test_each_built_in_rule_keeps_its_pattern_sum_path():
         for m in (1, 2, 3, 4, 5, 6, 8, 12, 16):
             expect = "two-stage" if m >= switch else "support"
             assert pattern_sum_path(rule, m) == expect, (spec, m)
+
+
+def test_a_rule_builds_a_pattern_sum_form_when_a_plan_first_picks_it():
+    # extremist:4 sums over its 42 support rows up to 4 parts and in two
+    # stages from 5; extremist:3 never takes the two-stage form, nor
+    # extremist:5 the support form
+    rule = make_rule("extremist:4")
+    assert rule._pattern_tables is None
+    plan = VelocityPlan(rule, np.full(2, 0.5))
+    support_size, support, two_stage = rule._pattern_tables
+    assert (support_size, two_stage) == (42, None)
+    assert plan._table is support.table
+    plan = VelocityPlan(rule, np.full(5, 0.2))
+    assert rule._pattern_tables[1] is support
+    assert plan._table is rule._pattern_tables[2].table
+    assert VelocityPlan(rule, np.full(3, 1 / 3))._table is support.table
+    for spec, unused in (("extremist:3", 2), ("extremist:5", 1)):
+        rule = make_rule(spec)
+        for m in (1, 2, 4, 8, 16):
+            VelocityPlan(rule, np.full(m, 1.0 / m))
+        assert rule._pattern_tables[unused] is None, spec
 
 
 @settings(max_examples=60, deadline=None, database=None)
