@@ -69,6 +69,9 @@ INVOCATIONS = [
     ("periodic-demo-rk4", ["periodic-demo", "--start", "0.25,0.8", "--t-end", "2000",
                            "--method", "rk4_fixed", "--step", "5"]),
     ("config-file", ["simulate", "--config", "config.json", "--checkpoints", "3"]),
+    ("transference-replicates-empty-part", ["transference", "--rule", "er", "--init-file", "w0.json",
+                                            "--n", "100", "--t-end", "0.01", "--seed", "1",
+                                            "--replicates", "2"]),
 ]
 
 CONFIG = {"rule": "complementing:3", "init": "const:0.1", "n": 80, "t-end": 0.25, "seed": 4,
@@ -76,6 +79,8 @@ CONFIG = {"rule": "complementing:3", "init": "const:0.1", "n": 80, "t-end": 0.25
 # the graph-blind rule on one pair that keeps the edge with probability 1/3: its
 # constant fixed point 1/3 lies off the default grid, so the scan bisects to it
 RULE = {"k": 2, "rows": [[f, [[0, 2 / 3], [1, 1 / 3]]] for f in (0, 1)]}
+# with seed 1, part 1 draws none of the 100 vertices, so the first replicate fails
+W0 = {"masses": [0.999, 0.001], "values": [[0.5, 0.5], [0.5, 0.5]]}
 
 
 def _sha(data: bytes) -> str:
@@ -100,6 +105,7 @@ def fingerprints() -> list[str]:
         try:
             Path("config.json").write_text(json.dumps(CONFIG))
             Path("rule.json").write_text(json.dumps(RULE))
+            Path("w0.json").write_text(json.dumps(W0))
             return [fingerprint(name, args) for name, args in INVOCATIONS]
         finally:
             os.chdir(home)

@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .csvio import TRANSFERENCE_HEADER, write_csv, write_transference_csv
+from .csvio import TRANSFERENCE_HEADER, write_csv
 from .csvio import read_csv  # noqa: F401  (every CLI CSV parses with cli.read_csv)
 from .errors import ConfigError, FlipflowError, NonFiniteValueError
 from .integrators import METHODS, IntegratorOptions
@@ -199,10 +199,11 @@ def _cells(w: StepGraphon) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each returns its CSV's header and rows, which `main`
+# writes whole, so a run that fails leaves no output file
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+def _cmd_simulate(cfg: ExperimentConfig):
     rule = _build_rule(cfg)
     w0 = _build_init(cfg)
     n = cfg.n
@@ -216,65 +217,48 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     marks = [round(total * i / (cfg.checkpoints - 1)) for i in range(cfg.checkpoints)] if cfg.checkpoints > 1 else [total]
     snapshots = _checkpoints(_sampled(rule, w0, n, cfg.seed), sorted(set(marks)))
     header = ["step", "t", "density"] + _cell_labels(w0.m)
-    rows = [[s, s / (n * n), w.edge_density()] + _cells(w) for s, w in snapshots]
-    write_csv(cfg.out, header, rows)
-    return 0
+    return header, ([s, s / (n * n), w.edge_density()] + _cells(w) for s, w in snapshots)
 
 
-def _cmd_trajectory(cfg: ExperimentConfig) -> int:
+def _cmd_trajectory(cfg: ExperimentConfig):
     rule = _build_rule(cfg)
     w0 = _build_init(cfg)
     times = np.linspace(0.0, cfg.t_end, cfg.checkpoints)
     traj = integrate(rule, w0, cfg.t_end, checkpoint_times=times, opts=cfg.integrator_options())
-    header = ["t"] + _cell_labels(w0.m)
-    rows = [[t] + _cells(w) for t, w in traj.checkpoints]
-    write_csv(cfg.out, header, rows)
-    return 0
+    return ["t"] + _cell_labels(w0.m), ([t] + _cells(w) for t, w in traj.checkpoints)
 
 
-def _cmd_transference(cfg: ExperimentConfig) -> int:
+def _cmd_transference(cfg: ExperimentConfig):
     rule, w0, opts = _build_rule(cfg), _build_init(cfg), cfg.integrator_options()
     if cfg.replicates == 1:
         report = transference_experiment(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, cfg.seed, opts=opts)
-        write_transference_csv(report, cfg.out)
-    else:
-        # replicate r runs with seed + r, when its rows are due to be written
-        seeds = range(cfg.seed, cfg.seed + cfg.replicates)
-        reports = _transferences(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, seeds, opts)
-        rows =([str(r), *row] for r, report in enumerate(reports) for row in report.rows())
-        write_csv(cfg.out, ["replicate"] + TRANSFERENCE_HEADER, rows)
-    return 0
+        return TRANSFERENCE_HEADER, report.rows()
+    # replicate r runs with seed + r, when write_csv reaches its rows
+    seeds = range(cfg.seed, cfg.seed + cfg.replicates)
+    reports = _transferences(rule, w0, cfg.n, cfg.t_end, cfg.checkpoints, seeds, opts)
+    rows = ([str(r), *row] for r, report in enumerate(reports) for row in report.rows())
+    return ["replicate"] + TRANSFERENCE_HEADER, rows
 
 
-def _cmd_fixed_points(cfg: ExperimentConfig) -> int:
+def _cmd_fixed_points(cfg: ExperimentConfig):
     rule = _build_rule(cfg)
     roots = constant_fixed_points(rule, grid_n=cfg.grid_n, tol=cfg.tol)
     for r in roots:
         print(format(r, ".12g"))
-    if cfg.out:
-        write_csv(cfg.out, ["fixed_point"], [[r] for r in roots])
-    return 0
+    return ["fixed_point"], ([r] for r in roots)
 
 
-def _cmd_velocity_field(cfg: ExperimentConfig) -> int:
+def _cmd_velocity_field(cfg: ExperimentConfig):
     rule = _build_rule(cfg)
     grid = np.linspace(0.0, 1.0, cfg.grid)
     plan = VelocityPlan(rule, (0.5, 0.5))  # packed two-block states [x, y, x]
-    rows = []
-    for x in grid:
-        for y in grid:
-            vel = plan(np.array([x, y, x]))
-            rows.append([x, y, vel[0], vel[1]])
-    write_csv(cfg.out, ["x", "y", "vx", "vy"], rows)
-    return 0
+    return ["x", "y", "vx", "vy"], ([x, y, *plan(np.array([x, y, x]))[:2]] for x in grid for y in grid)
 
 
-def _cmd_periodic_demo(cfg: ExperimentConfig) -> int:
+def _cmd_periodic_demo(cfg: ExperimentConfig):
     start = _numbers("--start", cfg.start, cfg.start, "x,y")
     trace = planar_demo(start, cfg.t_end, opts=cfg.integrator_options())
-    rows = [[t, p[0], p[1]] for t, p in zip(trace.times, trace.points)]
-    write_csv(cfg.out, ["t", "x", "y"], rows)
-    return 0
+    return ["t", "x", "y"], ([t, p[0], p[1]] for t, p in zip(trace.times, trace.points))
 
 
 _RULE = ("rule", "rule_file")
@@ -322,13 +306,16 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _MODES[cfg.mode][0](cfg)
+        header, rows = _MODES[cfg.mode][0](cfg)
+        if cfg.out:
+            write_csv(cfg.out, header, rows)
     except (ValueError, OSError) as exc:  # ConfigError here names one problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FlipflowError as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -5,16 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simulate import TransferenceReport
-
 TRANSFERENCE_HEADER = ["t", "cut_dist", "l1_dist", "sim_density", "traj_density"]
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Write the table once every row is formatted: a row that raises
+    leaves no file at `path`, and a file already there as it was."""
+    lines = [",".join(header)]
+    lines += (",".join(x if isinstance(x, str) else repr(float(x)) for x in row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else repr(float(x)) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -28,6 +28,6 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def write_transference_csv(report: TransferenceReport, path) -> None:
-    """One row per checkpoint: `TRANSFERENCE_HEADER`."""
+def write_transference_csv(report, path) -> None:
+    """One row per checkpoint of a `TransferenceReport`: `TRANSFERENCE_HEADER`."""
     write_csv(path, TRANSFERENCE_HEADER, report.rows())

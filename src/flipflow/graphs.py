@@ -86,22 +86,7 @@ def enumerate_graphs(k: int) -> list[LabeledGraph]:
 
 def component_closure(g: LabeledGraph) -> LabeledGraph:
     """Disjoint union of cliques with the same component structure as g."""
-    k = g.k
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edge_pairs():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    bits = 0
-    pairs = pair_list(k)
-    for p, (a, b) in enumerate(pairs):
-        if find(a) == find(b):
-            bits |= 1 << p
-    return LabeledGraph(k, bits)
+    label = list(range(g.k))
+    for a, b in g.edge_pairs():  # merge b's component into a's
+        label = [label[a] if x == label[b] else x for x in label]
+    return LabeledGraph(g.k, sum(1 << p for p, (a, b) in enumerate(pair_list(g.k)) if label[a] == label[b]))

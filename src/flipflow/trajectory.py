@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonFiniteValueError
 from .integrators import IntegratorOptions, StepStats, integrate_span
 from .rules import Rule
-from .stepfun import VALUE_BAND, StepGraphon, cut_norm_exact, kernel_sub, linf_dist
+from .stepfun import VALUE_BAND, StepGraphon, linf_dist
 from .velocity import RHS_BAND, VelocityPlan, eval_poly, velocity_poly
 from .velocity import velocity  # noqa: F401  (perfbench's tracer wraps trajectory.velocity)
 
@@ -256,27 +256,6 @@ def constant_fixed_points(rule: Rule, grid_n: int = 1001, tol: float = 1e-10) ->
         if not merged or r - merged[-1] > 10 * tol:
             merged.append(r)
     return merged
-
-
-def _genome_check(
-    rule: Rule,
-    u0: StepGraphon,
-    w0: StepGraphon,
-    t: float,
-    opts: IntegratorOptions = DEFAULT_OPTS,
-) -> float:
-    """Growth ratio of the cut-norm distance between two flows over [0, t].
-
-    Returns cut(flow(u0, t) - flow(w0, t)) / cut(u0 - w0); the distance
-    can grow at most like exp(C t) with C = (k)_2^2 2^C(k,2).  A zero
-    initial distance makes the ratio undefined (NaN).
-    """
-    d0 = cut_norm_exact(kernel_sub(u0, w0))
-    if d0 == 0.0:
-        return float("nan")
-    ut = flow_at(rule, u0, t, opts)
-    wt = flow_at(rule, w0, t, opts)
-    return cut_norm_exact(kernel_sub(ut, wt)) / d0
 
 
 def cut_lipschitz_constant(k: int) -> float:

@@ -9,6 +9,7 @@ import pytest
 from flipflow import ConfigError, save_rule, complementing_rule, two_block, velocity, extremist_rule
 from flipflow import cli
 from flipflow.cli import ExperimentConfig, main, read_csv
+from flipflow.csvio import write_csv
 
 from conftest import raises_exactly
 
@@ -404,6 +405,21 @@ def test_an_unknown_init_spec_is_a_config_error():
         cli._build_init(ExperimentConfig(mode="trajectory", init="ring:0.5"))
 
 
+def test_a_row_that_raises_writes_no_file(tmp_path):
+    def rows():
+        yield [0.5]
+        raise ValueError("no second row")
+
+    out = tmp_path / "o.csv"
+    with raises_exactly(ValueError, "no second row"):
+        write_csv(out, ["t"], rows())
+    assert not out.exists()
+    out.write_bytes(b"t\n0.25\n")
+    with raises_exactly(ValueError, "no second row"):
+        write_csv(out, ["t"], rows())
+    assert out.read_bytes() == b"t\n0.25\n"
+
+
 def test_a_ragged_csv_is_named(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("t,cell_1_1\n0.0,0.5,0.25\n")
@@ -412,13 +428,16 @@ def test_a_ragged_csv_is_named(tmp_path):
 
 
 @pytest.mark.parametrize("masses", [[0.999, 0.001], [0.4995, 0.001, 0.4995]])
-@pytest.mark.parametrize("mode", ["simulate", "transference"])
+@pytest.mark.parametrize("mode", [
+    "simulate", "transference", pytest.param("transference --replicates 2", id="transference-replicates"),
+])
 def test_a_part_that_draws_no_vertex_is_an_error(tmp_path, capsys, mode, masses):
     # with seed 1, part 1 draws none of the 100 vertices
     init = tmp_path / "w0.json"
     init.write_text(json.dumps({"masses": masses, "values": [[0.5] * len(masses)] * len(masses)}))
     out = tmp_path / "o.csv"
-    args = [mode, "--rule", "er", "--init-file", str(init), "--n", "100", "--t-end", "0.01", "--seed", "1"]
+    args = [*mode.split(), "--rule", "er", "--init-file", str(init), "--n", "100", "--t-end", "0.01",
+            "--seed", "1"]
     assert run_cli(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: part 1 (mass 0.001) drew none of the n = 100 vertices\n"
     assert not out.exists()

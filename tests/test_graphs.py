@@ -46,11 +46,15 @@ def test_component_closure():
     assert component_closure(path).edges == 0b111
     lone_edge = LabeledGraph.from_edges(4, [(0, 1)])
     assert component_closure(lone_edge) == lone_edge
-    for g in enumerate_graphs(4):
+    for g in (g for k in range(2, 6) for g in enumerate_graphs(k)):
         closed = component_closure(g)
         assert component_closure(closed) == closed  # idempotent
         assert closed.edges & g.edges == g.edges  # edge set grows
-        assert graph_components(closed) == graph_components(g)
+        count = graph_components(g)
+        assert graph_components(closed) == count
+        # each missing pair joins two components, so every component is a clique
+        missing = [p for p in range(len(pair_list(g.k))) if not closed.edges >> p & 1]
+        assert all(graph_components(LabeledGraph(g.k, closed.edges | 1 << p)) == count - 1 for p in missing)
 
 
 def test_induced_pattern():

@@ -17,12 +17,14 @@ from flipflow import (
     constant,
     constant_fixed_points,
     cut_lipschitz_constant,
+    cut_norm_exact,
     erdos_renyi_rule,
     extremist_rule,
     find_destination,
     flow_at,
     ignorant_rule,
     integrate,
+    kernel_sub,
     linf_dist,
     linf_lipschitz_constant,
     make_rule,
@@ -38,7 +40,7 @@ import flipflow.trajectory as trajectory_module
 from flipflow.integrators import _DP_A, _RK4_DENSE, integrate_span
 from flipflow.stepfun import VALUE_BAND
 from flipflow.trajectory import (
-    CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _genome_check, _start,
+    CIRCLE_CENTER, CIRCLE_RADIUS, DEFAULT_OPTS, FIELD_GAIN, _start,
 )
 
 from conftest import raises_exactly, random_graphon, random_rule, scalar_fixed_points
@@ -261,15 +263,18 @@ def test_an_off_grid_fixed_point_is_bisected():
 
 
 def test_genome_check():
-    assert math.isnan(_genome_check(ER, constant(0.3), constant(0.3), 0.5))
+    # the cut distance between two flows grows at most like exp(C t), C = cut_lipschitz_constant(k)
+    def growth(rule, u0, w0, t):
+        d0 = cut_norm_exact(kernel_sub(u0, w0))
+        return cut_norm_exact(kernel_sub(flow_at(rule, u0, t), flow_at(rule, w0, t))) / d0
+
     t = 0.7
-    ratio = _genome_check(ER, constant(0.2), constant(0.6), t)
+    ratio = growth(ER, constant(0.2), constant(0.6), t)
     assert ratio == pytest.approx(math.exp(-2 * t), abs=1e-6)
     assert ratio <= math.exp(cut_lipschitz_constant(2) * t)
     u0 = two_block((0.5, 0.5), 0.95, 0.95, 0.18)
     w0 = two_block((0.5, 0.5), 0.95, 0.95, 0.15)
-    ratio = _genome_check(EXT3, u0, w0, 1.4)
-    assert ratio <= math.exp(cut_lipschitz_constant(3) * 1.4)
+    assert growth(EXT3, u0, w0, 1.4) <= math.exp(cut_lipschitz_constant(3) * 1.4)
 
 
 def test_time_lipschitz_along_checkpoints(rng):
