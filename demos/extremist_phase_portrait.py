@@ -14,19 +14,21 @@ import os
 
 import numpy as np
 
-from flipflow import extremist_rule, integrate, two_block, velocity
+from flipflow import VelocityPlan, extremist_rule, integrate, two_block
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 rule = extremist_rule(3)
 
+# the two-block states [x, y, x] (packed cells 11, 12, 22) of the grid, in one call
+grid = np.linspace(0, 1, 21)
+xs, ys = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+field = VelocityPlan(rule, (0.5, 0.5))(np.column_stack((xs, ys, xs)))
 with open(os.path.join(OUT, "extremist_field.csv"), "w") as fh:
     fh.write("x,y,vx,vy\n")
-    for x in np.linspace(0, 1, 21):
-        for y in np.linspace(0, 1, 21):
-            vel = velocity(rule, two_block((0.5, 0.5), x, x, y))
-            fh.write(f"{x!r},{y!r},{vel.values[0, 0]!r},{vel.values[0, 1]!r}\n")
+    for x, y, vx, vy in zip(xs, ys, field[:, 0], field[:, 1]):
+        fh.write(f"{x!r},{y!r},{vx!r},{vy!r}\n")
 print("wrote extremist_field.csv (21 x 21 grid)")
 
 for label, y0 in (("A", 0.18), ("B", 0.15)):

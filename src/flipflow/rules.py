@@ -10,8 +10,12 @@ coefficients and expected edge-change sequence) are array operations
 over those entries.  Sampling uses the inverse CDF in ascending H order:
 the replacement is the first H whose cumulative probability exceeds the
 uniform variate u (bisect_right), which fixes the exact mapping from u
-to a replacement graph and keeps simulations bit-reproducible.  Every
-sampler bisects one flat table, `Rule.replacement_table()`.
+to a replacement graph and keeps simulations bit-reproducible.  A row's
+CDF is the running maximum of its partial sums, so an entry that
+`validate` tolerates in [-PROB_TOL, 0) cannot make it dip.  Every
+sampler searches one flat table, `Rule.replacement_table()`, greedily by
+powers of two (`Rule.sample_replacements`), which returns bisect_right's
+index on that nondecreasing CDF.
 """
 
 from __future__ import annotations
@@ -68,12 +72,16 @@ class Rule:
         order = np.lexsort((p, h, r))
         h, p = h[order], p[order]
         self._entries = (r, h, p)
-        # each row's CDF adds its entries in order, as `accumulate` would:
-        # one cumsum along the rows of each length
+        # each row's CDF adds its entries in order, as `accumulate` would,
+        # one cumsum along the rows of each length; its running maximum
+        # keeps it nondecreasing where an entry in [-PROB_TOL, 0) dips it
         starts, cdf = np.concatenate(([0], np.cumsum(lengths))), np.empty(len(r))
         for length in set(lengths.tolist()):
             at = np.flatnonzero(lengths[r] == length)
-            cdf[at] = np.cumsum(p[at].reshape(-1, length), axis=1).ravel()
+            sums = np.cumsum(p[at].reshape(-1, length), axis=1)
+            if length > 1:
+                np.maximum.accumulate(sums, axis=1, out=sums)
+            cdf[at] = sums.ravel()
         self._table = (h, cdf, starts)
         # per graph, the first and last entry of its row
         self._first, self._last = starts[self.row_of], starts[self.row_of + 1] - 1
@@ -96,9 +104,10 @@ class Rule:
         """Read-only arrays (h, cdf, starts) holding every distinct row in order.
 
         Row r fills entries starts[r] to starts[r + 1] - 1: its H indices,
-        ascending, with their cumulative probabilities.  `bisect_right(cdf,
-        u, starts[r], starts[r + 1] - 1)` picks the replacement, the last
-        entry when rounding leaves the row's total short of u.
+        ascending, with the running maximum of their cumulative
+        probabilities.  `bisect_right(cdf, u, starts[r], starts[r + 1] - 1)`
+        picks the replacement, the last entry when rounding leaves the
+        row's total short of u.
         """
         return self._table
 
@@ -107,16 +116,20 @@ class Rule:
         `bisect_right(cdf, u, starts[r], starts[r + 1] - 1)` on the row
         r = row_of[F] of each drawn F, run on all at once.  The search
         spans a row's entries only (a variate past the last CDF value stops
-        on the last entry), so it takes bit_length(longest row - 1) rounds,
-        none for a deterministic rule.
+        on the last entry), greedily by powers of two from the largest
+        down: round r steps 2**r entries past `pos` iff the last of them is
+        before the row's last entry and its CDF value is <= u.  On the
+        table's nondecreasing CDF that is bisect_right's index, in
+        bit_length(longest row - 1) rounds, none for a deterministic rule.
         """
         h, cdf, _ = self._table
-        lo, hi = self._first[drawn], self._last[drawn]
-        for _ in range(self._rounds):
-            mid = (lo + hi) // 2
-            left = u < cdf[mid]
-            lo, hi = np.where(left | (lo == hi), lo, mid + 1), np.where(left, mid, hi)
-        return h[lo]
+        pos = self._first[drawn]
+        if self._rounds:
+            last = self._last[drawn]
+            for r in range(self._rounds - 1, -1, -1):
+                at = pos + ((1 << r) - 1)
+                pos += ((cdf.take(at, mode="clip") <= u) & (at < last)) << r
+        return h[pos]
 
     @property
     def rows(self) -> list:
@@ -138,7 +151,6 @@ def validate(rule: Rule) -> None:
     probability outside [0, 1], checked in that order), else the first F
     whose row sum is farthest from 1, if farther than PROB_TOL."""
     r, h, p = rule._entries
-    _, cdf, starts = rule._table
     repeat = np.concatenate(([False], (h[1:] == h[:-1]) & (r[1:] == r[:-1])))
     faults = np.stack(((h < 0) | (h >= rule.num_graphs), repeat, ~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL))))
     bad = faults.any(axis=0)
@@ -147,7 +159,7 @@ def validate(rule: Rule) -> None:
         e = int(np.argmax(bad & (r == rule.row_of[f])))
         detail = (f"H index {h[e]} out of range", f"duplicate H index {h[e]}", f"probability {float(p[e])} outside [0, 1]")
         raise NonStochasticRowError(f, 0.0, detail[int(np.argmax(faults[:, e]))])
-    residual = np.abs(cdf[starts[1:] - 1] - 1.0)[rule.row_of]
+    residual = np.abs(_row_sums(rule, p[:, None])[:, 0] - 1.0)[rule.row_of]  # the sums, not the CDF's running maximum
     f = int(np.argmax(residual))
     if residual[f] > PROB_TOL:
         raise NonStochasticRowError(f, float(residual[f]))

@@ -7,9 +7,10 @@ picked; `_distinct_tuples`) and one uniform variate for the replacement.
 Steps whose tuples share no vertex pair commute, so a span is applied in
 wavefronts: a step's level is 1 plus the largest level of the earlier
 steps that wrote one of its pairs, and each level reads its patterns
-from the upper triangle of a dense n x n byte adjacency, bisects
-`Rule.replacement_table()` (`Rule.sample_replacements`) and writes the
-new pairs back, all steps at once.  Every pair then sees its reads and
+from the upper triangle of a dense n x n byte adjacency, searches
+`Rule.replacement_table()` (`Rule.sample_replacements`, bisect_right's
+index in branch-free power-of-two probes) and writes the new pairs back,
+all steps at once.  Every pair then sees its reads and
 writes in step order, so the result is exactly that of stepping one at
 a time, and the output depends only on the seed, never on how the steps
 are split across `step_many` calls.  Ordered block edge counts

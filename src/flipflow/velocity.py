@@ -28,7 +28,10 @@ the 1/(m_i m_j) normalization into one weight per (multiset, pair), so
 that along a flow, where the masses never change, each evaluation is a
 gather of the factors 1 - y and y of each pair from z = [1 - y, y] (y the
 packed upper-triangle values), a pattern-weighted sum and one bincount
-back into packed blocks.
+back into packed blocks.  A (B, ncells) stack of states, such as the
+`velocity-field` grid, takes one gather, pattern sum and bincount per
+chunk and group of states (at most _STACK_ELEMS = 2**17 pattern-sum
+elements), each row bit-identical to the 1-D call, which keeps its path.
 
 The pattern-weighted sum runs over the nonzero rows of Cbar, or over all
 2**P patterns (P = C(k, 2)) in two stages: P(F) is the probability of
@@ -71,6 +74,7 @@ VELOCITY_GUARD = 125 * 10**6  # array elements a plan holds: 1 GB at 8 bytes
 MULTISET_CACHE_BYTES = VELOCITY_GUARD * 8 // 32  # largest cached multiset arrays: 32 fit in 1 GB
 _CHUNK_ELEMS = 1 << 23  # cap on rows * row_elems per vectorized chunk
 _SEQ_ELEMS = 1 << 14  # gathered factors from which P(F) builds in place; it breaks even between 2**14 and 2**15
+_STACK_ELEMS = 1 << 17  # cap on the pattern-sum elements of one group of stacked states: 1 MiB of floats
 RHS_BAND = 0.5  # the velocity is only evaluated on states within this band of [0, 1]
 
 
@@ -228,9 +232,11 @@ class VelocityPlan:
     values (the order of `pack`); returns the velocity in the same
     packing.  The guard, the mass check and each chunk's gather index,
     flat cells and weights are set up at construction, so a flow pays for
-    them once.  A call raises `IntegrationFaultError` on a state with an
-    entry outside [-RHS_BAND, 1 + RHS_BAND] or NaN: min(1 - y, y) >= -0.5
-    is that band exactly (near 1.5, 1 - y is exact), one reduction over z.
+    them once.  A (B, ncells) stack of states returns (B, ncells), each
+    row equal to the call on that state alone.  A call raises
+    `IntegrationFaultError` on a state with an entry outside [-RHS_BAND,
+    1 + RHS_BAND] or NaN: min(1 - y, y) >= -0.5 is that band exactly
+    (near 1.5, 1 - y is exact), one reduction over z.
     """
 
     def __init__(self, rule: Rule, masses):
@@ -256,6 +262,7 @@ class VelocityPlan:
         step = max(1, _CHUNK_ELEMS // patterns.row_elems)
         chunks = [slice(lo, lo + step) for lo in range(0, len(weights), step)]
         self._chunks = [(enum.gather[:, c], enum.cells[c].ravel(), weights[c].ravel()) for c in chunks]
+        self._group = max(1, _STACK_ELEMS // (min(step, rows) * patterns.row_elems))  # stacked states summed at once
 
     def pack(self, values: np.ndarray) -> np.ndarray:
         """Upper-triangle entries of a symmetric (m, m) matrix, row by row."""
@@ -269,17 +276,39 @@ class VelocityPlan:
         return out
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        if y.ndim > 1:
+            return self._stacked(y)
         z = np.concatenate((1.0 - y, y))
         if not np.minimum.reduce(z) >= -RHS_BAND:
-            raise IntegrationFaultError(
-                f"velocity evaluated at a state outside [{-RHS_BAND}, {1 + RHS_BAND}]: "
-                f"range [{float(y.min())}, {float(y.max())}]"
-            )
+            raise _out_of_band(y)
         out = None
         for gather, cells, weights in self._chunks:
             scores = self._pattern_sum(z[gather]).ravel() * weights
             part = np.bincount(cells, weights=scores, minlength=self._ncells)
             out = part if out is None else out + part
+        return out
+
+    def _stacked(self, y: np.ndarray) -> np.ndarray:
+        """The stack's velocities: per group of `_group` states and chunk,
+        one gather of (2P, states, rows) factors, one pattern sum and one
+        bincount with state s offset by s * ncells.  Each state's terms
+        meet in the 1-D call's order."""
+        ncells = self._ncells
+        z = np.concatenate((1.0 - y, y), axis=1)
+        if not np.minimum.reduce(z, axis=None) >= -RHS_BAND:
+            raise _out_of_band(y)
+        out = np.empty(y.shape)
+        for lo in range(0, len(y), self._group):
+            group = z[lo : lo + self._group]
+            state = np.arange(len(group))[:, None]
+            part = None
+            for gather, cells, weights in self._chunks:
+                scores = self._stacked_sum(group.take(gather[:, None] + 2 * ncells * state))
+                scores *= weights.reshape(scores.shape[1:])
+                bins = cells.reshape(scores.shape[1:]) + ncells * state[:, :, None]
+                more = np.bincount(bins.ravel(), weights=scores.ravel(), minlength=len(group) * ncells)
+                part = more if part is None else part + more
+            out[lo : lo + self._group] = part.reshape(-1, ncells)
         return out
 
     def _support_sum(self, factors: np.ndarray) -> np.ndarray:
@@ -294,6 +323,28 @@ class VelocityPlan:
         high = _pattern_probs(factors, self._bits[1])
         partial = (low.T @ self._table).reshape(factors.shape[1], len(high), -1)
         return (high.T[:, None, :] @ partial)[:, 0]
+
+    def _stacked_sum(self, factors: np.ndarray) -> np.ndarray:
+        """The pattern sum of (2P, states, rows) factors, (states, rows, P): each
+        state's probabilities keep the 1-D sum's layout (a lone row contiguous),
+        so its matrix products make the 1-D sum's BLAS calls, bit for bit."""
+        flat = factors.reshape(len(factors), -1)
+        probs = []
+        for index in self._bits:
+            per_state = _pattern_probs(flat, index).reshape(-1, *factors.shape[1:]).transpose(1, 2, 0)
+            probs.append(per_state if factors.shape[2] > 1 else np.ascontiguousarray(per_state))
+        if len(probs) == 1:
+            return probs[0] @ self._table
+        low, high = probs
+        partial = (low @ self._table).reshape(*high.shape, -1)
+        return (high[..., None, :] @ partial)[..., 0, :]
+
+
+def _out_of_band(y: np.ndarray) -> IntegrationFaultError:
+    return IntegrationFaultError(
+        f"velocity evaluated at a state outside [{-RHS_BAND}, {1 + RHS_BAND}]: "
+        f"range [{float(y.min())}, {float(y.max())}]"
+    )
 
 
 def _pattern_probs(factors: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -348,6 +399,10 @@ def velocity_monte_carlo(
     contribute exactly zero).  Streams are keyed by (seed, parts, pair).
     A free label counts the entries of the mass CDF, normalized as in
     `Generator.choice`, at or below its variate: `choice`'s label, unsearched.
+    A pattern pair reads its block value W[L_u, L_v] by where its ends
+    are: one scalar between the two roots, a root's row or column of W at
+    one root, a flat gather only between two free vertices; its bits
+    collect in a uint16 (P <= 15).
     """
     check_cell(parts, w.m, samples)
     k, m = rule.k, w.m
@@ -361,15 +416,24 @@ def velocity_monte_carlo(
     total = np.zeros(samples, dtype=np.int64)
     for a, b in _ordered_pairs(k):
         rng = substream(seed, "mc-velocity", i, j, a, b)
-        labels[a], labels[b] = i, j
-        free = [v for v in range(k) if v != a and v != b]
+        root = {a: i, b: j}
+        free = [v for v in range(k) if v not in root]
         for v, variates in zip(free, rng.random((samples, len(free))).T):
             labels[v] = 0
             for c in cdf[:-1]:
                 labels[v] += variates >= c
-        drawn = np.zeros(samples, dtype=np.intp)
+        drawn = np.zeros(samples, dtype=np.uint16)
         for p, ((u, v), variates) in enumerate(zip(pairs, rng.random((samples, len(pairs))).T)):
-            drawn += (variates < values.take(labels[u] * m + labels[v])) << p
+            # W[L_u, L_v] by where the pair's ends are: a root's label is fixed
+            if u in root and v in root:
+                value = w.values[root[u], root[v]]
+            elif u in root:
+                value = w.values[root[u]].take(labels[v])
+            elif v in root:
+                value = w.values[:, root[v]].take(labels[u])
+            else:
+                value = values.take(labels[u] * m + labels[v])
+            drawn |= np.left_shift(variates < value, p, dtype=np.uint16)
         replacement = rule.sample_replacements(drawn, rng.random(samples))
         root_bit = pair_position(k, a, b)
         total += (replacement >> root_bit & 1) - (drawn >> root_bit & 1)

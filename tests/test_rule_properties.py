@@ -1,8 +1,9 @@
 """Rule properties over random rules: shared rows, unsorted entries, idle defaults.
 
-A rule is drawn as a few distinct rows, each of one to five entries in
-random order (a one-entry row is a point mass, idle for the graph it
-names), and each graph is given one of them.  The rows go either to
+A rule of order 2 to 5 is drawn as a few distinct rows, each of one to
+33 entries (up to six search rounds) in random order (a one-entry row is
+a point mass, idle for the graph it names), and each graph is given one
+of them.  The rows go either to
 `Rule` directly, one object per distinct row, or through
 `Rule.from_row_map`, where some graphs get no row and idle.  Each check
 compares the array code with a plain loop over the sorted rows.
@@ -29,12 +30,12 @@ PROPERTY = settings(max_examples=100, deadline=None, database=None)
 @st.composite
 def random_rules(draw):
     """(rule, rows): a random rule and, per graph, its row sorted by (H, p)."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ngraphs = 1 << comb(k, 2)
     distinct = []
     for _ in range(draw(st.integers(1, 6))):
-        targets = rng.choice(ngraphs, size=int(rng.integers(1, min(5, ngraphs) + 1)), replace=False)
+        targets = rng.choice(ngraphs, size=int(rng.integers(1, min(33, ngraphs) + 1)), replace=False)
         distinct.append(list(zip(targets.tolist(), rng.dirichlet(np.ones(len(targets))).tolist())))
     pick = rng.integers(len(distinct), size=ngraphs)
     if draw(st.booleans()):

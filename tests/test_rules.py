@@ -180,25 +180,38 @@ def test_vectorised_sampler_matches_bisect_right(rng):
     tie = Rule(2, [[(0, 0.5), (1, 0.5)], [(1, 1.0)]])
     short = Rule(3, [[(0, 0.25), (5, 0.25), (6, 0.4999999999995)]] + [[(7, 1.0)]] * 7)
     assert abs(sum(p for _, p in short.rows[0]) - (1 - 5e-13)) < 1e-16
-    rules = [builder() for builder in BUILTIN_RULES.values()] + [random_rule(rng, 3), tie, short]
+    # an entry validate tolerates in [-PROB_TOL, 0) dips the partial sums
+    # by 5e-13; the table holds their running maximum
+    dip = Rule(3, [[(0, 0.3), (1, -5e-13), (2, 0.3), (3, 0.4 + 5e-13)]] + [[(7, 1.0)]] * 7)
+    validate(dip)
+    # long rows: 1,024 entries (10 search rounds), 64 and 64
+    long_rows = [make_rule(spec) for spec in ("stirring-loose:5", "stirring-firm:4", "ignorant-uniform:4")]
+    rules = [builder() for builder in BUILTIN_RULES.values()] + long_rows + [random_rule(rng, 3), tie, short, dip]
     for rule in rules:
-        drawn, u = [], []
+        drawn, u, cdfs = [], [], {}
         for f, row in enumerate(rule.rows):
-            cdf = list(accumulate(p for _, p in row))
-            # random variates, every CDF value exactly (the tie cases) and
-            # the largest variate below 1
-            draws = np.concatenate([rng.random(8), cdf, [0.0, np.nextafter(1, 0)]])
+            # random variates, both ends and, on the first graph of each
+            # row, every CDF value exactly (the tie cases)
+            ties = []
+            if id(row) not in cdfs:
+                ties = cdfs[id(row)] = list(accumulate(accumulate(p for _, p in row), max))
+            draws = np.concatenate([rng.random(8), ties, [0.0, np.nextafter(1, 0)]])
             drawn += [f] * len(draws)
             u += draws.tolist()
         got = rule.sample_replacements(np.array(drawn), np.array(u))
         for f, x, h in zip(drawn, u, got):
             row = rule.rows[f]
-            cdf = list(accumulate(p for _, p in row))
-            assert h == row[min(bisect_right(cdf, x), len(row) - 1)][0]
+            assert h == row[min(bisect_right(cdfs[id(row)], x), len(row) - 1)][0]
     # a tie at u = 0.5 moves past the first half of the row, as in the simulator
     assert tie.sample_replacements(np.array([0]), np.array([0.5])).tolist() == [1]
     # a variate above a row total that rounding left short of 1 draws the last H
     assert short.sample_replacements(np.array([0]), np.array([np.nextafter(1, 0)])).tolist() == [6]
+    # variates inside the dip draw what bisect_right on the table's CDF draws
+    _, cdf, _ = dip.replacement_table()
+    assert cdf[:4].tolist() == cdfs[id(dip.rows[0])]
+    inside = np.linspace(0.3 - 5e-13, 0.3, 6)
+    expect = [dip.rows[0][bisect_right(cdf.tolist(), x, 0, 3)][0] for x in inside]
+    assert dip.sample_replacements(np.zeros(6, dtype=np.intp), inside).tolist() == expect == [0] * 5 + [2]
 
 
 def test_replacement_table_grows_with_the_rows():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from flipflow import (
     GuardExceededError,
+    IntegrationFaultError,
     Rule,
     StepGraphon,
     VelocityPlan,
@@ -366,6 +367,36 @@ def test_plans_split_into_chunks_agree_with_one_chunk(spec, m, rng, monkeypatch)
             assert 2 <= len(plan._chunks) <= 5, (spec, form, chunks)
             assert np.max(np.abs(plan(y) - whole)) <= 1e-13, (spec, form, chunks)
             assert np.max(np.abs(plan.unpack(plan(y)) - expect)) <= 1e-12, (spec, form, chunks)
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 4), (3, 1), (3, 3), (4, 2), (4, 4), (5, 1), (5, 2)])
+def test_a_stacked_call_is_the_call_on_each_state(k, m, rng, monkeypatch):
+    # a (B, ncells) stack: random rules on random masses, each pattern sum,
+    # one chunk or up to three, one group or groups of three states
+    rule, masses, rows = random_rule(rng, k, 0.5), rng.dirichlet(np.ones(m)), comb(m + k - 1, k)
+    stack = rng.random((10, m * (m + 1) // 2))
+    for form in FORMS:
+        force_form(monkeypatch, form)
+        row_elems = forced_form(rule, form).row_elems
+        for chunks in (1, 3):
+            step = -(-rows // chunks)
+            monkeypatch.setattr(VELOCITY, "_CHUNK_ELEMS", row_elems * step)
+            for group in (10, 3):
+                monkeypatch.setattr(VELOCITY, "_STACK_ELEMS", group * step * row_elems)
+                plan = VelocityPlan(rule, masses)
+                assert (len(plan._chunks), plan._group) == (-(-rows // step), group)
+                expect = np.stack([plan(y) for y in stack])
+                assert np.array_equal(plan(stack), expect), (form, chunks, group)
+                assert np.array_equal(plan(stack[:1]), expect[:1]), (form, chunks, group)
+
+
+def test_a_stacked_call_names_the_range_of_the_stack_outside_the_band():
+    plan = VelocityPlan(extremist_rule(3), (0.5, 0.5))
+    for bad, low, high in ((1.75, 0.25, 1.75), (-0.625, -0.625, 0.75), (np.nan, np.nan, np.nan)):
+        stack = np.array([[0.25, 0.5, 0.75]] * 4)
+        stack[2, 1] = bad
+        with raises_exactly(IntegrationFaultError, f"velocity evaluated at a state outside [-0.5, 1.5]: range [{low}, {high}]"):
+            plan(stack)
 
 
 def test_each_built_in_rule_keeps_its_pattern_sum_path():
